@@ -10,16 +10,18 @@
 //! digest in the report), interleaves client events with the stack's
 //! internal event queue in time order, and emits the common [`Report`].
 
+use std::collections::BTreeMap;
+
 use lauberhorn_packet::eth::ETH_HEADER_LEN;
 use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
-use lauberhorn_sim::{AimdPacer, SimDuration, SimRng, SimTime};
+use lauberhorn_sim::{AimdPacer, Histogram, SimDuration, SimRng, SimTime};
 
 use crate::report::Report;
 use crate::spec::{LoadMode, PayloadGen, WorkloadSpec};
-use crate::stack::ServerStack;
-use crate::wire::{build_request, RequestTimes, RetryPolicy};
+use crate::stack::{InFlight, ServerStack, StackCommon};
+use crate::wire::{build_request, RetryPolicy};
 
 /// Client-side events, interleaved with the stack's internal queue.
 #[derive(Debug)]
@@ -61,15 +63,6 @@ impl RequestDigest {
         self.absorb(&service.to_le_bytes());
         self.absorb(payload);
     }
-}
-
-/// Client-side record of an unanswered request, kept while a
-/// [`RetryPolicy`] is in force.
-struct Outstanding {
-    /// The exact frame, shared by reference with every in-flight copy.
-    raw: PktBuf,
-    /// Which closed-loop client issued it.
-    client: usize,
 }
 
 /// Puts one request frame on the wire, applying transmit-leg faults.
@@ -120,12 +113,46 @@ fn jittered_rto(policy: &RetryPolicy, attempt: u32, rng: &mut SimRng) -> SimDura
     SimDuration::from_ns_f64(base.as_ns_f64() * (1.0 + policy.jitter_frac * u))
 }
 
+/// A closed-loop `client` whose request just ended at `now` issues its
+/// next one after the think time, if that is still inside the load
+/// window. Open-loop generation does not depend on completions.
+fn think_then_generate(
+    common: &mut StackCommon,
+    workload: &WorkloadSpec,
+    now: SimTime,
+    client: usize,
+) {
+    if let LoadMode::Closed { think, .. } = &workload.mode {
+        if now + *think <= common.end_of_load {
+            common
+                .client_q
+                .schedule(now + *think, ClientEv::Gen { client });
+        }
+    }
+}
+
+/// The client gives up on `request_id` at `now` — retries exhausted,
+/// retry budget exhausted, retransmit deadline-suppressed, or pushed
+/// back: its record leaves the table, it counts as dropped, the dedup
+/// window forgets it so a late retransmit may execute, and a
+/// closed-loop client moves on. The caller has checked that the
+/// request is still in flight.
+fn give_up(common: &mut StackCommon, workload: &WorkloadSpec, request_id: u64, now: SimTime) {
+    let record = common.abandon_request(request_id, now);
+    common.dedup_forget(request_id);
+    if let Some(r) = record {
+        think_then_generate(common, workload, now, r.client);
+    }
+}
+
 /// Runs `workload` against `stack` and reports.
 ///
 /// The driver alternates between the client queue and the stack's
 /// internal queue, always processing the globally-earliest event
 /// (client first on ties, so request injection at time `t` is visible
-/// to a stack event at the same `t`).
+/// to a stack event at the same `t`). Each request lives in one
+/// [`InFlight`] record on [`StackCommon`] from generation until it is
+/// answered or given up on.
 pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> Report {
     stack.common().begin(workload);
     stack.prepare(workload);
@@ -136,7 +163,6 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     let client_addr = EndpointAddr::host(2, 7000);
     let mut digest = RequestDigest::new();
     let mut next_request_id = 0u64;
-    let mut client_of = std::collections::BTreeMap::new();
 
     // Fault/retry machinery: all `None`/empty on a clean run, in which
     // case no extra RNG stream is created and no extra event is ever
@@ -149,8 +175,6 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
         .wire_tx
         .enabled()
         .then(|| FaultInjector::new(workload.faults.wire_tx, workload.seed, "fault.wire.tx"));
-    let mut outstanding: std::collections::BTreeMap<u64, Outstanding> =
-        std::collections::BTreeMap::new();
 
     // Tenant-scoped fault storm: applied at generation time, where the
     // tenant is known. The dedicated stream exists (and is drawn from)
@@ -165,13 +189,9 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     // carries a tenancy plan — enforcing *or* measurement-only — so
     // the unbounded baseline arm is scored against the same SLOs.
     let tenancy = workload.overload.as_ref().and_then(|o| o.tenancy.as_ref());
-    let mut tenant_of: std::collections::BTreeMap<u64, u16> = std::collections::BTreeMap::new();
-    let mut tenant_offered: std::collections::BTreeMap<u16, u64> =
-        std::collections::BTreeMap::new();
-    let mut tenant_completed: std::collections::BTreeMap<u16, u64> =
-        std::collections::BTreeMap::new();
-    let mut tenant_rtt: std::collections::BTreeMap<u16, lauberhorn_sim::Histogram> =
-        std::collections::BTreeMap::new();
+    let mut tenant_offered: BTreeMap<u16, u64> = BTreeMap::new();
+    let mut tenant_completed: BTreeMap<u16, u64> = BTreeMap::new();
+    let mut tenant_rtt: BTreeMap<u16, Histogram> = BTreeMap::new();
 
     // When the workload declares a deadline-shedding budget and the
     // retry policy has no wall-clock budget of its own, a retransmit
@@ -219,334 +239,221 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
 
     let mut last_now = SimTime::ZERO;
     loop {
-        // Pick the earliest event across both queues.
+        // The earliest event across both queues, client first on ties.
         let client_t = stack.common().client_q.peek_time();
         let stack_t = stack.next_event_time();
-        let client_side = match (client_t, stack_t) {
-            (Some(c), Some(s)) => c <= s,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
+        let (now, client_side) = match (client_t, stack_t) {
+            (Some(c), Some(s)) if c <= s => (c, true),
+            (Some(c), None) => (c, true),
+            (_, Some(s)) => (s, false),
             (None, None) => break,
         };
-
-        if client_side {
-            let Some((now, ev)) = stack.common().client_q.pop() else {
-                break;
-            };
-            last_now = now;
-            let common = stack.common();
-            if now > common.hard_end {
-                break;
-            }
-            if now > common.end_of_load
-                && common.metrics.completed + common.metrics.dropped >= common.metrics.offered
-            {
-                break;
-            }
-            match ev {
-                ClientEv::Gen { client } => {
-                    if now <= stack.common().end_of_load {
-                        let request_id = next_request_id;
-                        next_request_id += 1;
-                        let service = workload.mix.sample(&mut client_rng, now);
-                        let payload: Vec<u8> = match &workload.payload {
-                            Some(PayloadGen::Script(f)) => f(request_id),
-                            Some(PayloadGen::Random(d)) => {
-                                let size = d.sample(&mut client_rng);
-                                (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
-                            }
-                            None => {
-                                let size = workload.request_bytes.sample(&mut client_rng);
-                                (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
-                            }
-                        };
-                        digest.absorb_request(request_id, service, &payload);
-                        let raw = build_request(
-                            client_addr,
-                            stack.server_addr(service),
-                            service,
-                            0,
+        last_now = now;
+        let common = stack.common();
+        if now > common.hard_end
+            || (now > common.end_of_load
+                && common.metrics.completed + common.metrics.dropped >= common.metrics.offered)
+        {
+            break;
+        }
+        if !client_side {
+            stack.step(workload);
+            continue;
+        }
+        let Some((_, ev)) = common.client_q.pop() else {
+            break;
+        };
+        match ev {
+            ClientEv::Gen { client } => {
+                if now > common.end_of_load {
+                    continue;
+                }
+                let request_id = next_request_id;
+                next_request_id += 1;
+                let service = workload.mix.sample(&mut client_rng, now);
+                let payload: Vec<u8> = match &workload.payload {
+                    Some(PayloadGen::Script(f)) => f(request_id),
+                    Some(PayloadGen::Random(d)) => {
+                        let size = d.sample(&mut client_rng);
+                        (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
+                    }
+                    None => {
+                        let size = workload.request_bytes.sample(&mut client_rng);
+                        (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
+                    }
+                };
+                digest.absorb_request(request_id, service, &payload);
+                let raw = build_request(
+                    client_addr,
+                    stack.server_addr(service),
+                    service,
+                    0,
+                    request_id,
+                    &payload,
+                    0,
+                );
+                if tenancy.is_some() {
+                    *tenant_offered.entry(service).or_default() += 1;
+                }
+                let common = stack.common();
+                if common.tracer.is_enabled() {
+                    // Blame profiles slice per service; the map exists
+                    // only while tracing, so clean runs allocate nothing.
+                    common.service_of.insert(request_id, service);
+                }
+                common.metrics.offered += 1;
+                let retransmit = retry.is_some().then(|| raw.clone());
+                common
+                    .in_flight
+                    .insert(request_id, InFlight::new(now, client, service, retransmit));
+                if let (Some(policy), Some(rng)) = (&retry, retry_rng.as_mut()) {
+                    let rto = jittered_rto(policy, 1, rng);
+                    common.client_q.schedule(
+                        now + rto,
+                        ClientEv::Retry {
                             request_id,
-                            &payload,
-                            0,
-                        );
-                        client_of.insert(request_id, client);
-                        if tenancy.is_some() {
-                            tenant_of.insert(request_id, service);
-                            *tenant_offered.entry(service).or_default() += 1;
+                            attempt: 1,
+                        },
+                    );
+                }
+                match tenant_fault.filter(|tf| tf.tenant == service) {
+                    Some(tf) => {
+                        // Malformed: corrupt the transmitted copy only;
+                        // the retransmit copy in the record stays
+                        // pristine.
+                        let mut wire = raw.clone();
+                        if let Some(rng) = tenant_fault_rng.as_mut().filter(|_| tf.malformed > 0.0)
+                        {
+                            if rng.gen_f64() < tf.malformed {
+                                let len = wire.len();
+                                let offset =
+                                    rng.gen_range(ETH_HEADER_LEN..len.max(ETH_HEADER_LEN + 1));
+                                let bit = rng.gen_range(0..8) as u8;
+                                FaultInjector::apply_corruption(wire.make_mut(), offset, bit);
+                                tenant_malformed += 1;
+                                stack.common().metrics.faults.corrupted += 1;
+                            }
                         }
-                        let common = stack.common();
-                        if common.tracer.is_enabled() {
-                            // Blame profiles slice per service; the
-                            // map exists only while tracing, so clean
-                            // runs allocate nothing.
-                            common.service_of.insert(request_id, service);
+                        send_frame(stack, &mut tx_fault, now, wire, request_id);
+                        // Storm amplification: duplicates with the same
+                        // request id (at-most-once is on the hook for
+                        // them).
+                        for _ in 0..tf.storm_extra {
+                            tenant_storm_extra += 1;
+                            send_frame(stack, &mut tx_fault, now, raw.clone(), request_id);
                         }
-                        common.metrics.offered += 1;
-                        common.times.insert(
-                            request_id,
-                            RequestTimes {
-                                sent: now,
-                                ..Default::default()
+                    }
+                    None => send_frame(stack, &mut tx_fault, now, raw, request_id),
+                }
+                if let Some(arr) = arrivals.as_mut() {
+                    let mut gap = arr.next_gap(&mut client_rng);
+                    if let Some(p) = pacer.as_ref() {
+                        // AIMD pacing stretches the open-loop gap;
+                        // without pushback the sampled gap is used
+                        // untouched.
+                        gap = SimDuration::from_ns_f64(gap.as_ns_f64() * p.gap_scale());
+                    }
+                    stack
+                        .common()
+                        .client_q
+                        .schedule(now + gap, ClientEv::Gen { client });
+                }
+            }
+            ClientEv::Response { request_id } => {
+                // Duplicate deliveries (a replayed dedup answer racing
+                // the original, or a duplicated response frame) are
+                // ignored: the first answer won.
+                let Some(r) = common.in_flight.remove(&request_id) else {
+                    common.metrics.faults.dup_responses += 1;
+                    continue;
+                };
+                if let Some(p) = pacer.as_mut() {
+                    p.on_success(now);
+                }
+                let tenant = tenancy.map(|_| r.service);
+                if let Some(t) = tenant {
+                    *tenant_completed.entry(t).or_default() += 1;
+                }
+                common.metrics.completed += 1;
+                if common.metrics.completed > workload.warmup {
+                    let rtt = now.since(r.times.sent);
+                    common.metrics.rtt.record_duration(rtt);
+                    if let Some(t) = tenant {
+                        tenant_rtt.entry(t).or_default().record_duration(rtt);
+                    }
+                    common
+                        .metrics
+                        .end_system
+                        .record_duration(r.times.end_system());
+                    common.metrics.dispatch.record_duration(r.times.dispatch());
+                    common.metrics.sw_cycles += r.sw_cycles;
+                    common.metrics.measured += 1;
+                }
+                think_then_generate(common, workload, now, r.client);
+            }
+            ClientEv::Retry {
+                request_id,
+                attempt,
+            } => {
+                let Some(policy) = retry else {
+                    // A retry event without a policy: stale state.
+                    continue;
+                };
+                let Some(r) = common.in_flight.get(&request_id) else {
+                    // Answered (or already abandoned): stale timer.
+                    continue;
+                };
+                let sent = r.times.sent;
+                if attempt >= policy.max_attempts {
+                    common.metrics.faults.retries_exhausted += 1;
+                } else if policy.budget_exhausted(sent, now) {
+                    // The wall-clock retry budget ran out before the
+                    // attempt bound: terminal `Timeout`, not another
+                    // round of max-backoff retransmissions.
+                    common.metrics.faults.timeouts += 1;
+                } else if retry_deadline.is_some_and(|d| now.since(sent) > d) {
+                    // The workload's overload deadline has already passed
+                    // for this request: a retransmission now would
+                    // arrive only to be shed as stale at dispatch.
+                    // Terminal `Timeout` here instead of fired-and-shed
+                    // wasted wire and queue work.
+                    deadline_suppressed += 1;
+                    common.metrics.faults.timeouts += 1;
+                } else {
+                    let Some(raw) = r.retransmit.clone() else {
+                        continue;
+                    };
+                    common.metrics.faults.retransmits += 1;
+                    if let Some(rng) = retry_rng.as_mut() {
+                        let next = attempt + 1;
+                        let rto = jittered_rto(&policy, next, rng);
+                        common.client_q.schedule(
+                            now + rto,
+                            ClientEv::Retry {
+                                request_id,
+                                attempt: next,
                             },
                         );
-                        if let Some(policy) = &retry {
-                            outstanding.insert(
-                                request_id,
-                                Outstanding {
-                                    raw: raw.clone(),
-                                    client,
-                                },
-                            );
-                            if let Some(rng) = retry_rng.as_mut() {
-                                let rto = jittered_rto(policy, 1, rng);
-                                common.client_q.schedule(
-                                    now + rto,
-                                    ClientEv::Retry {
-                                        request_id,
-                                        attempt: 1,
-                                    },
-                                );
-                            }
-                        }
-                        match tenant_fault.filter(|tf| tf.tenant == service) {
-                            Some(tf) => {
-                                // Malformed: corrupt the transmitted
-                                // copy only; the retransmit copy held
-                                // in `outstanding` stays pristine.
-                                let mut wire = raw.clone();
-                                if let Some(rng) =
-                                    tenant_fault_rng.as_mut().filter(|_| tf.malformed > 0.0)
-                                {
-                                    if rng.gen_f64() < tf.malformed {
-                                        let len = wire.len();
-                                        let offset = rng
-                                            .gen_range(ETH_HEADER_LEN..len.max(ETH_HEADER_LEN + 1));
-                                        let bit = rng.gen_range(0..8) as u8;
-                                        FaultInjector::apply_corruption(
-                                            wire.make_mut(),
-                                            offset,
-                                            bit,
-                                        );
-                                        tenant_malformed += 1;
-                                        stack.common().metrics.faults.corrupted += 1;
-                                    }
-                                }
-                                send_frame(stack, &mut tx_fault, now, wire, request_id);
-                                // Storm amplification: duplicates with
-                                // the same request id (at-most-once is
-                                // on the hook for them).
-                                for _ in 0..tf.storm_extra {
-                                    tenant_storm_extra += 1;
-                                    send_frame(stack, &mut tx_fault, now, raw.clone(), request_id);
-                                }
-                            }
-                            None => send_frame(stack, &mut tx_fault, now, raw, request_id),
-                        }
-                        if let Some(arr) = arrivals.as_mut() {
-                            let mut gap = arr.next_gap(&mut client_rng);
-                            if let Some(p) = pacer.as_ref() {
-                                // AIMD pacing stretches the open-loop
-                                // gap; without pushback the sampled
-                                // gap is used untouched.
-                                gap = SimDuration::from_ns_f64(gap.as_ns_f64() * p.gap_scale());
-                            }
-                            stack
-                                .common()
-                                .client_q
-                                .schedule(now + gap, ClientEv::Gen { client });
-                        }
                     }
+                    send_frame(stack, &mut tx_fault, now, raw, request_id);
+                    continue;
                 }
-                ClientEv::Response { request_id } => {
-                    // Duplicate deliveries (a replayed dedup answer
-                    // racing the original, or a duplicated response
-                    // frame) are ignored: the first answer won.
-                    let Some(client) = client_of.remove(&request_id) else {
-                        stack.common().metrics.faults.dup_responses += 1;
-                        continue;
-                    };
-                    outstanding.remove(&request_id);
-                    if let Some(p) = pacer.as_mut() {
-                        p.on_success(now);
-                    }
-                    let tenant = tenant_of.remove(&request_id);
-                    if let Some(t) = tenant {
-                        *tenant_completed.entry(t).or_default() += 1;
-                    }
-                    let common = stack.common();
-                    common.metrics.completed += 1;
-                    let warmed = common.metrics.completed > workload.warmup;
-                    if let Some(times) = common.times.remove(&request_id) {
-                        if warmed {
-                            common.metrics.rtt.record_duration(now.since(times.sent));
-                            if let Some(t) = tenant {
-                                tenant_rtt
-                                    .entry(t)
-                                    .or_default()
-                                    .record_duration(now.since(times.sent));
-                            }
-                            common
-                                .metrics
-                                .end_system
-                                .record_duration(times.end_system());
-                            common.metrics.dispatch.record_duration(times.dispatch());
-                            if let Some(c) = common.sw_cycles_by_req.remove(&request_id) {
-                                common.metrics.sw_cycles += c;
-                            }
-                            common.metrics.measured += 1;
-                        } else {
-                            common.sw_cycles_by_req.remove(&request_id);
-                        }
-                    }
-                    if let LoadMode::Closed { think, .. } = &workload.mode {
-                        if now + *think <= common.end_of_load {
-                            common
-                                .client_q
-                                .schedule(now + *think, ClientEv::Gen { client });
-                        }
-                    }
-                }
-                ClientEv::Retry {
-                    request_id,
-                    attempt,
-                } => {
-                    let Some(policy) = retry else {
-                        // A retry event without a policy: stale state.
-                        continue;
-                    };
-                    if attempt >= policy.max_attempts {
-                        let Some(o) = outstanding.remove(&request_id) else {
-                            // Answered (or already abandoned): stale timer.
-                            continue;
-                        };
-                        client_of.remove(&request_id);
-                        let common = stack.common();
-                        common.metrics.faults.retries_exhausted += 1;
-                        common.abandon_request(request_id, now);
-                        common.dedup_forget(request_id);
-                        if let LoadMode::Closed { think, .. } = &workload.mode {
-                            // Keep the closed-loop client alive: it
-                            // gives up on this request and moves on.
-                            if now + *think <= common.end_of_load {
-                                common
-                                    .client_q
-                                    .schedule(now + *think, ClientEv::Gen { client: o.client });
-                            }
-                        }
-                    } else if stack
-                        .common()
-                        .times
-                        .get(&request_id)
-                        .is_some_and(|t| policy.budget_exhausted(t.sent, now))
-                    {
-                        // The wall-clock retry budget ran out before the
-                        // attempt bound: terminal `Timeout`, not another
-                        // round of max-backoff retransmissions.
-                        let Some(o) = outstanding.remove(&request_id) else {
-                            continue;
-                        };
-                        client_of.remove(&request_id);
-                        let common = stack.common();
-                        common.metrics.faults.timeouts += 1;
-                        common.abandon_request(request_id, now);
-                        common.dedup_forget(request_id);
-                        if let LoadMode::Closed { think, .. } = &workload.mode {
-                            if now + *think <= common.end_of_load {
-                                common
-                                    .client_q
-                                    .schedule(now + *think, ClientEv::Gen { client: o.client });
-                            }
-                        }
-                    } else if retry_deadline.is_some_and(|d| {
-                        stack
-                            .common()
-                            .times
-                            .get(&request_id)
-                            .is_some_and(|t| now.since(t.sent) > d)
-                    }) {
-                        // The workload's overload deadline has already
-                        // passed for this request: a retransmission now
-                        // would arrive only to be shed as stale at
-                        // dispatch. Terminal `Timeout` here instead of
-                        // fired-and-shed wasted wire and queue work.
-                        let Some(o) = outstanding.remove(&request_id) else {
-                            continue;
-                        };
-                        client_of.remove(&request_id);
-                        deadline_suppressed += 1;
-                        let common = stack.common();
-                        common.metrics.faults.timeouts += 1;
-                        common.abandon_request(request_id, now);
-                        common.dedup_forget(request_id);
-                        if let LoadMode::Closed { think, .. } = &workload.mode {
-                            if now + *think <= common.end_of_load {
-                                common
-                                    .client_q
-                                    .schedule(now + *think, ClientEv::Gen { client: o.client });
-                            }
-                        }
-                    } else {
-                        let Some(raw) = outstanding.get(&request_id).map(|o| o.raw.clone()) else {
-                            // Answered (or already abandoned): stale timer.
-                            continue;
-                        };
-                        let common = stack.common();
-                        common.metrics.faults.retransmits += 1;
-                        if let Some(rng) = retry_rng.as_mut() {
-                            let next = attempt + 1;
-                            let rto = jittered_rto(&policy, next, rng);
-                            common.client_q.schedule(
-                                now + rto,
-                                ClientEv::Retry {
-                                    request_id,
-                                    attempt: next,
-                                },
-                            );
-                        }
-                        send_frame(stack, &mut tx_fault, now, raw, request_id);
-                    }
-                }
-                ClientEv::Pushback { request_id, hint } => {
-                    // The server refused the request under overload and
-                    // said so explicitly: terminate it here (no point
-                    // retransmitting into a shedding server) and slow
-                    // the generator down.
-                    let Some(client) = client_of.remove(&request_id) else {
-                        // Already answered or abandoned: stale NACK.
-                        continue;
-                    };
-                    outstanding.remove(&request_id);
-                    if let Some(p) = pacer.as_mut() {
-                        p.on_pushback(hint, now);
-                    }
-                    let common = stack.common();
-                    common.abandon_request(request_id, now);
-                    common.dedup_forget(request_id);
-                    if let LoadMode::Closed { think, .. } = &workload.mode {
-                        if now + *think <= common.end_of_load {
-                            common
-                                .client_q
-                                .schedule(now + *think, ClientEv::Gen { client });
-                        }
-                    }
-                }
+                give_up(common, workload, request_id, now);
             }
-        } else {
-            let Some(now) = stack_t else {
-                break;
-            };
-            last_now = now;
-            let common = stack.common();
-            if now > common.hard_end {
-                break;
+            ClientEv::Pushback { request_id, hint } => {
+                // The server refused the request under overload and said
+                // so explicitly: terminate it here (no point
+                // retransmitting into a shedding server) and slow the
+                // generator down.
+                if !common.in_flight.contains_key(&request_id) {
+                    // Already answered or abandoned: stale NACK.
+                    continue;
+                }
+                if let Some(p) = pacer.as_mut() {
+                    p.on_pushback(hint, now);
+                }
+                give_up(common, workload, request_id, now);
             }
-            if now > common.end_of_load
-                && common.metrics.completed + common.metrics.dropped >= common.metrics.offered
-            {
-                break;
-            }
-            stack.step(workload);
         }
     }
 
@@ -653,4 +560,43 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     let mut report = metrics.finish(stack.name(), end.since(SimTime::ZERO), energy, fabric);
     report.blame = blame;
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use lauberhorn_sim::fault::FaultPlan;
+    use lauberhorn_workload::SizeDist;
+
+    use super::*;
+    use crate::sim_bypass::BypassSim;
+    use crate::sim_kernel::KernelSim;
+    use crate::sim_lauberhorn::LauberhornSim;
+    use crate::stack::{Machine, MachineConfig};
+    use crate::ServiceSpec;
+
+    fn in_flight_after_lossy_run<S: ServerStack>(machine: Machine) -> usize {
+        let wl =
+            WorkloadSpec::open_poisson(100_000.0, 1, 0.0, SizeDist::Fixed { bytes: 64 }, 20, 1)
+                .with_faults(FaultPlan::wire_loss(0.01))
+                .with_retry(RetryPolicy::same_rack());
+        let mut stack = S::build(
+            MachineConfig::new(machine, 2),
+            ServiceSpec::uniform(1, 1000, 32),
+        );
+        let report = run(&mut stack, &wl);
+        assert!(report.faults.retransmits > 0, "the run exercised retry");
+        stack.common().in_flight.len()
+    }
+
+    /// Every request's record leaves the table by run end: answered,
+    /// or given up on by the client.
+    #[test]
+    fn lossy_runs_leave_no_request_in_flight() {
+        assert_eq!(
+            in_flight_after_lossy_run::<LauberhornSim>(Machine::CxlProjected),
+            0
+        );
+        assert_eq!(in_flight_after_lossy_run::<BypassSim>(Machine::PcPcie), 0);
+        assert_eq!(in_flight_after_lossy_run::<KernelSim>(Machine::PcPcie), 0);
+    }
 }

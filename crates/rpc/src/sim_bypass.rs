@@ -114,9 +114,6 @@ pub struct BypassSim {
     busy_until: Vec<SimTime>,
     check_scheduled: Vec<bool>,
     q: EventQueue<Ev>,
-    /// Same-timestamp events drained in one [`EventQueue::pop_batch`],
-    /// held in *reverse* delivery order so `step` pops from the back.
-    batch: Vec<(SimTime, Ev)>,
     common: StackCommon,
     next_buf: u64,
     server_ip: EndpointAddr,
@@ -177,7 +174,6 @@ impl BypassSim {
             busy_until: vec![SimTime::ZERO; cfg.cores],
             check_scheduled: vec![false; cfg.cores],
             q: EventQueue::new(),
-            batch: Vec::new(),
             common: StackCommon::new(cfg.wire),
             next_buf: 0,
             server_ip: EndpointAddr::host(1, BASE_PORT),
@@ -336,7 +332,7 @@ impl BypassSim {
         let sw_total = sw + m.copy(self.spec_of(service).response_bytes);
         let spec_time = self.spec_of(service).service_time;
         let handler = spec_time.sample(&mut self.common.rng);
-        if let Some(t) = self.common.times.get_mut(&pkt.request_id) {
+        if let Some(t) = self.common.times_mut(pkt.request_id) {
             t.handler_start = now + self.cost.cycles(sw);
         }
         // Attributed per request (the driver folds it in only for
@@ -396,7 +392,7 @@ impl BypassSim {
                 now + self.nic.doorbell_cost()
             }
         };
-        if let Some(t) = self.common.times.get_mut(&request_id) {
+        if let Some(t) = self.common.times_mut(request_id) {
             t.handler_end = now;
             t.response_tx = tx_done;
         }
@@ -404,8 +400,7 @@ impl BypassSim {
             let root = self.common.root_span(request_id);
             let handler_start = self
                 .common
-                .times
-                .get(&request_id)
+                .times(request_id)
                 .map(|t| t.handler_start)
                 .unwrap_or(now);
             let tr = &mut self.common.tracer;
@@ -514,7 +509,6 @@ impl ServerStack for BypassSim {
     }
 
     fn prepare(&mut self, workload: &WorkloadSpec) {
-        self.batch.clear();
         self.overload = workload.overload.clone();
         // Dedicated cores spin from t = 0 to the end: always Active.
         for c in 0..self.cfg.cores {
@@ -531,22 +525,11 @@ impl ServerStack for BypassSim {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
-        match self.batch.last() {
-            Some((t, _)) => Some(*t),
-            None => self.q.peek_time(),
-        }
+        self.q.peek_time()
     }
 
     fn step(&mut self, workload: &WorkloadSpec) {
-        // Batched delivery: drain the whole same-timestamp run in one
-        // queue operation; handler-scheduled events at the same instant
-        // carry higher sequence numbers, so consuming the drained run
-        // first matches one-`pop`-at-a-time order exactly.
-        if self.batch.is_empty() {
-            self.q.pop_batch(&mut self.batch);
-            self.batch.reverse();
-        }
-        let Some((now, ev)) = self.batch.pop() else {
+        let Some((now, ev)) = self.q.pop() else {
             return;
         };
         match ev {

@@ -126,9 +126,6 @@ pub struct KernelSim {
     poll_active: Vec<bool>,
     busy_until: Vec<SimTime>,
     q: EventQueue<Ev>,
-    /// Same-timestamp events drained in one [`EventQueue::pop_batch`],
-    /// held in *reverse* delivery order so `step` pops from the back.
-    batch: Vec<(SimTime, Ev)>,
     common: StackCommon,
     next_buf: u64,
     server_ip: EndpointAddr,
@@ -184,7 +181,6 @@ impl KernelSim {
             poll_active: vec![false; queues as usize],
             busy_until: vec![SimTime::ZERO; cfg.cores],
             q: EventQueue::new(),
-            batch: Vec::new(),
             common: StackCommon::new(cfg.wire),
             next_buf: 0,
             server_ip: EndpointAddr::host(1, BASE_PORT),
@@ -501,7 +497,7 @@ impl KernelSim {
         }
         let (s0, handler_start) = self.charge_core(core, now, sw);
         self.common.charge_req(request_id, sw);
-        if let Some(t) = self.common.times.get_mut(&request_id) {
+        if let Some(t) = self.common.times_mut(request_id) {
             t.handler_start = handler_start;
         }
         if self.common.tracer.is_enabled() {
@@ -593,7 +589,7 @@ impl KernelSim {
                 end + self.nic.doorbell_cost()
             }
         };
-        if let Some(t) = self.common.times.get_mut(&request_id) {
+        if let Some(t) = self.common.times_mut(request_id) {
             t.handler_end = now;
             t.response_tx = tx_done;
         }
@@ -601,8 +597,7 @@ impl KernelSim {
             let root = self.common.root_span(request_id);
             let handler_start = self
                 .common
-                .times
-                .get(&request_id)
+                .times(request_id)
                 .map(|t| t.handler_start)
                 .unwrap_or(now);
             let tr = &mut self.common.tracer;
@@ -690,7 +685,6 @@ impl ServerStack for KernelSim {
     }
 
     fn prepare(&mut self, workload: &WorkloadSpec) {
-        self.batch.clear();
         // Kernel analogue of the NIC's overload control: bounded
         // per-socket backlogs (SYN-backlog style) plus a deadline
         // budget. Fairness and pushback stay Lauberhorn-only — a DMA
@@ -701,22 +695,11 @@ impl ServerStack for KernelSim {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
-        match self.batch.last() {
-            Some((t, _)) => Some(*t),
-            None => self.q.peek_time(),
-        }
+        self.q.peek_time()
     }
 
     fn step(&mut self, _workload: &WorkloadSpec) {
-        // Batched delivery: drain the whole same-timestamp run in one
-        // queue operation; handler-scheduled events at the same instant
-        // carry higher sequence numbers, so consuming the drained run
-        // first matches one-`pop`-at-a-time order exactly.
-        if self.batch.is_empty() {
-            self.q.pop_batch(&mut self.batch);
-            self.batch.reverse();
-        }
-        let Some((now, ev)) = self.batch.pop() else {
+        let Some((now, ev)) = self.q.pop() else {
             return;
         };
         match ev {

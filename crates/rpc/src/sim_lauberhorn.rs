@@ -191,9 +191,6 @@ pub struct LauberhornSim {
     cores: Vec<CoreCtx>,
     user_eps: BTreeMap<(u16, usize), (EndpointId, EndpointLayout)>,
     q: EventQueue<Ev>,
-    /// Same-timestamp events drained in one [`EventQueue::pop_batch`],
-    /// held in *reverse* delivery order so `step` pops from the back.
-    batch: Vec<(SimTime, Ev)>,
     common: StackCommon,
     /// Response payloads produced by real handlers, by request id.
     resp_payload: BTreeMap<u64, Vec<u8>>,
@@ -314,7 +311,6 @@ impl LauberhornSim {
             cores,
             user_eps: BTreeMap::new(),
             q: EventQueue::new(),
-            batch: Vec::new(),
             common: StackCommon::new(cfg.wire),
             resp_payload: BTreeMap::new(),
             record_responses: false,
@@ -789,7 +785,7 @@ impl LauberhornSim {
                     let _ = arg_len; // Args arrived in-line: already in registers.
                 }
                 self.common.charge_req(request_id, sw);
-                if let Some(times) = self.common.times.get_mut(&request_id) {
+                if let Some(times) = self.common.times_mut(request_id) {
                     times.handler_start = t;
                 }
                 // Application logic: run the real handler over the bytes
@@ -832,7 +828,7 @@ impl LauberhornSim {
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, now: SimTime) {
         self.ctx_mut(core).cur_req = None;
-        if let Some(times) = self.common.times.get_mut(&request_id) {
+        if let Some(times) = self.common.times_mut(request_id) {
             times.handler_end = now;
         }
         // Write the response into the CONTROL line we hold Exclusive.
@@ -861,8 +857,7 @@ impl LauberhornSim {
             let root = self.common.root_span(request_id);
             let handler_start = self
                 .common
-                .times
-                .get(&request_id)
+                .times(request_id)
                 .map(|t| t.handler_start)
                 .unwrap_or(now);
             let tr = &mut self.common.tracer;
@@ -928,7 +923,7 @@ impl LauberhornSim {
             }
         };
         let tx_time = now + lat;
-        if let Some(times) = self.common.times.get_mut(&ctx.request_id) {
+        if let Some(times) = self.common.times_mut(ctx.request_id) {
             times.response_tx = tx_time;
         }
         let root = self.common.root_span(ctx.request_id);
@@ -1351,7 +1346,6 @@ impl ServerStack for LauberhornSim {
     }
 
     fn prepare(&mut self, workload: &WorkloadSpec) {
-        self.batch.clear();
         self.record_responses = workload.record_responses;
         self.fault_tolerant = workload.faults.enabled();
         self.crashed.clear();
@@ -1415,23 +1409,11 @@ impl ServerStack for LauberhornSim {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
-        match self.batch.last() {
-            Some((t, _)) => Some(*t),
-            None => self.q.peek_time(),
-        }
+        self.q.peek_time()
     }
 
     fn step(&mut self, _workload: &WorkloadSpec) {
-        // Batched delivery: drain every event at the current timestamp
-        // in one queue operation, then feed them to the handlers one by
-        // one. Events the handlers schedule at the same timestamp carry
-        // higher sequence numbers, so consuming the drained run first
-        // is exactly the one-`pop`-at-a-time order.
-        if self.batch.is_empty() {
-            self.q.pop_batch(&mut self.batch);
-            self.batch.reverse();
-        }
-        let Some((now, ev)) = self.batch.pop() else {
+        let Some((now, ev)) = self.q.pop() else {
             return;
         };
         match ev {

@@ -34,13 +34,81 @@ const REPLAY_FRAME_BYTES: usize = 110;
 /// the workload armed overload control with pushback.
 const NACK_FRAME_BYTES: usize = 64;
 
-/// Server-side dedup state for one request id.
+/// Server-side at-most-once state of one request id: one byte per
+/// id in [`StackCommon`]'s dedup table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DedupEntry {
+enum DedupState {
+    /// Never admitted, or released so a retransmit may run.
+    Unseen,
     /// Accepted for execution; the response has not yet left.
-    InFlight,
+    Executing,
     /// Executed and answered; duplicates replay the cached response.
     Done,
+}
+
+/// Everything the simulator keeps about one request between its
+/// generation and its answer: the driver creates it at `Gen` and
+/// removes it at `Response` or on any abandon; stacks reach it only
+/// through [`StackCommon`]'s methods.
+#[derive(Debug)]
+pub(crate) struct InFlight {
+    /// Client, NIC and handler timestamps.
+    pub(crate) times: RequestTimes,
+    /// Stack software overhead charged to the request.
+    pub(crate) sw_cycles: u64,
+    /// Which closed-loop client issued it.
+    pub(crate) client: usize,
+    /// Target service, which is also the tenant.
+    pub(crate) service: u16,
+    /// The exact frame, kept for retransmission while a
+    /// [`RetryPolicy`](crate::RetryPolicy) is in force.
+    pub(crate) retransmit: Option<PktBuf>,
+    /// Root (`Stage::Request`) span, set at first arrival while tracing
+    /// (`Some(SpanId::NONE)` if the tracer was full) and taken when the
+    /// response leaves.
+    root_span: Option<SpanId>,
+    /// Open wait-class span (recovery / retry-wait / shed-backoff), so
+    /// the critical path shows *why* a request stalled.
+    wait_span: SpanId,
+    /// When the request's last wait-class stall resolved (`ZERO`: none
+    /// did). Spans that backdate to NIC arrival (e.g. CONTROL fill)
+    /// clamp to this, so stalled time stays attributed to the wait,
+    /// not the fill.
+    wait_resolved: SimTime,
+}
+
+impl InFlight {
+    /// A request the client sent at `sent`.
+    pub(crate) fn new(
+        sent: SimTime,
+        client: usize,
+        service: u16,
+        retransmit: Option<PktBuf>,
+    ) -> Self {
+        InFlight {
+            times: RequestTimes {
+                sent,
+                ..Default::default()
+            },
+            sw_cycles: 0,
+            client,
+            service,
+            retransmit,
+            root_span: None,
+            wait_span: SpanId::NONE,
+            wait_resolved: SimTime::ZERO,
+        }
+    }
+
+    /// Closes the open wait span, if any, and notes when the stall
+    /// resolved.
+    fn end_wait(&mut self, tracer: &mut SpanTracer, now: SimTime) {
+        let id = std::mem::replace(&mut self.wait_span, SpanId::NONE);
+        if id.is_some() {
+            tracer.end(id, now);
+            self.wait_resolved = self.wait_resolved.max(now);
+        }
+    }
 }
 
 /// What the server should do with an arriving request frame.
@@ -160,10 +228,8 @@ pub struct StackCommon {
     pub rng: SimRng,
     /// Accumulating run metrics.
     pub metrics: MetricsCollector,
-    /// Timestamps of in-flight requests.
-    pub times: BTreeMap<u64, RequestTimes>,
-    /// Software overhead cycles attributed per request.
-    pub sw_cycles_by_req: BTreeMap<u64, u64>,
+    /// One record per in-flight request.
+    pub(crate) in_flight: BTreeMap<u64, InFlight>,
     /// Load generation stops here.
     pub end_of_load: SimTime,
     /// Absolute simulation cutoff (`end_of_load` + drain window).
@@ -180,7 +246,10 @@ pub struct StackCommon {
     pushback: bool,
     /// At-most-once dedup window, present when duplicates are possible
     /// (faults or retry enabled). `None` on clean runs: zero cost.
-    dedup: Option<BTreeMap<u64, DedupEntry>>,
+    /// Indexed by request id — the driver's dense `0..offered` counter —
+    /// and kept apart from [`InFlight`] because it must outlive the
+    /// client's record to answer late duplicates.
+    dedup: Option<Vec<DedupState>>,
     /// Server→client response fault injector (`"fault.wire.rx"`).
     rx_fault: Option<FaultInjector>,
     /// Coherence fill-response fault injector (`"fault.fill"`), applied
@@ -192,15 +261,6 @@ pub struct StackCommon {
     ///
     /// [`ObserveSpec`]: lauberhorn_sim::ObserveSpec
     pub tracer: SpanTracer,
-    /// Open root (`Stage::Request`) span per in-flight request id.
-    root_spans: BTreeMap<u64, SpanId>,
-    /// Open wait-class span (recovery / retry-wait / shed-backoff) per
-    /// request, so the critical path shows *why* a request stalled.
-    wait_spans: BTreeMap<u64, SpanId>,
-    /// When a request's last wait-class stall resolved. Spans that
-    /// backdate to NIC arrival (e.g. CONTROL fill) clamp to this, so
-    /// stalled time stays attributed to the wait, not the fill.
-    wait_resolved: BTreeMap<u64, SimTime>,
     /// Target service per request, recorded only while tracing so the
     /// blame profile gets its per-service dimension. Never read by any
     /// simulation path.
@@ -217,8 +277,7 @@ impl StackCommon {
             wire,
             rng: SimRng::root(0),
             metrics: MetricsCollector::default(),
-            times: BTreeMap::new(),
-            sw_cycles_by_req: BTreeMap::new(),
+            in_flight: BTreeMap::new(),
             end_of_load: SimTime::ZERO,
             hard_end: SimTime::ZERO,
             client_q: EventQueue::new(),
@@ -228,9 +287,6 @@ impl StackCommon {
             rx_fault: None,
             fill_fault: None,
             tracer: SpanTracer::default(),
-            root_spans: BTreeMap::new(),
-            wait_spans: BTreeMap::new(),
-            wait_resolved: BTreeMap::new(),
             service_of: BTreeMap::new(),
             flightrec: None,
         }
@@ -240,14 +296,13 @@ impl StackCommon {
     pub fn begin(&mut self, workload: &WorkloadSpec) {
         self.rng = SimRng::stream(workload.seed, "server");
         self.metrics = MetricsCollector::default();
-        self.times.clear();
-        self.sw_cycles_by_req.clear();
+        self.in_flight.clear();
         self.end_of_load = SimTime::ZERO + workload.duration;
         self.hard_end = self.end_of_load + SimDuration::from_ms(20);
         self.client_q = EventQueue::new();
         self.retry_active = workload.effective_retry().is_some();
         self.pushback = workload.overload.as_ref().is_some_and(|o| o.pushback);
-        self.dedup = (self.retry_active || workload.faults.enabled()).then(BTreeMap::new);
+        self.dedup = (self.retry_active || workload.faults.enabled()).then(Vec::new);
         self.rx_fault =
             workload.faults.wire_rx.enabled().then(|| {
                 FaultInjector::new(workload.faults.wire_rx, workload.seed, "fault.wire.rx")
@@ -258,9 +313,6 @@ impl StackCommon {
             .enabled()
             .then(|| FaultInjector::new(workload.faults.fill, workload.seed, "fault.fill"));
         self.tracer.configure(&workload.observe);
-        self.root_spans.clear();
-        self.wait_spans.clear();
-        self.wait_resolved.clear();
         self.service_of.clear();
         self.flightrec = (workload.observe.spans && workload.observe.flightrec)
             .then(|| FlightRecorder::new(workload.observe.flight_cap));
@@ -275,36 +327,49 @@ impl StackCommon {
     /// retransmission only the first arrival counts, so a duplicate
     /// arriving mid-execution cannot corrupt the latency accounting.
     pub fn note_arrival(&mut self, request_id: u64, now: SimTime) {
-        if let Some(t) = self.times.get_mut(&request_id) {
-            if t.nic_arrival == SimTime::ZERO {
-                t.nic_arrival = now;
-                if self.tracer.is_enabled() {
-                    let id = self.tracer.begin(
-                        now,
-                        Stage::Request,
-                        Some(request_id),
-                        SpanId::NONE,
-                        ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
-                    );
-                    self.root_spans.insert(request_id, id);
-                }
+        let Some(r) = self.in_flight.get_mut(&request_id) else {
+            return;
+        };
+        if r.times.nic_arrival == SimTime::ZERO {
+            r.times.nic_arrival = now;
+            if self.tracer.is_enabled() {
+                r.root_span = Some(self.tracer.begin(
+                    now,
+                    Stage::Request,
+                    Some(request_id),
+                    SpanId::NONE,
+                    ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
+                ));
             }
         }
+    }
+
+    /// `request_id`'s timestamps, while it is in flight.
+    pub fn times(&self, request_id: u64) -> Option<&RequestTimes> {
+        self.in_flight.get(&request_id).map(|r| &r.times)
+    }
+
+    /// Mutable access to `request_id`'s timestamps, while it is in
+    /// flight.
+    pub fn times_mut(&mut self, request_id: u64) -> Option<&mut RequestTimes> {
+        self.in_flight.get_mut(&request_id).map(|r| &mut r.times)
     }
 
     /// The open root span for `request_id` ([`SpanId::NONE`] when
     /// tracing is off or the request has no root) — the parent for
     /// every stage span a stack records about this request.
     pub fn root_span(&self, request_id: u64) -> SpanId {
-        self.root_spans
+        self.in_flight
             .get(&request_id)
-            .copied()
+            .and_then(|r| r.root_span)
             .unwrap_or(SpanId::NONE)
     }
 
     /// Attributes `cycles` of stack software overhead to `request_id`.
     pub fn charge_req(&mut self, request_id: u64, cycles: u64) {
-        *self.sw_cycles_by_req.entry(request_id).or_insert(0) += cycles;
+        if let Some(r) = self.in_flight.get_mut(&request_id) {
+            r.sw_cycles += cycles;
+        }
     }
 
     /// Opens a wait-class span (recovery, retry-wait, shed-backoff)
@@ -312,33 +377,23 @@ impl StackCommon {
     /// request has no root yet, or a wait span is already open — the
     /// first cause of a stall wins.
     pub fn begin_wait(&mut self, request_id: u64, stage: Stage, now: SimTime) {
-        if !self.tracer.is_enabled() || self.wait_spans.contains_key(&request_id) {
+        if !self.tracer.is_enabled() {
             return;
         }
-        let root = self.root_span(request_id);
-        if !root.is_some() {
+        let Some(r) = self.in_flight.get_mut(&request_id) else {
+            return;
+        };
+        let root = r.root_span.unwrap_or(SpanId::NONE);
+        if r.wait_span.is_some() || !root.is_some() {
             return;
         }
-        let id = self.tracer.begin(
+        r.wait_span = self.tracer.begin(
             now,
             stage,
             Some(request_id),
             root,
             ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
         );
-        if id.is_some() {
-            self.wait_spans.insert(request_id, id);
-        }
-    }
-
-    /// Closes `request_id`'s open wait span (the stall resolved: a
-    /// retransmit arrived, the backlog replayed, the NACK landed).
-    fn end_wait(&mut self, request_id: u64, now: SimTime) {
-        if let Some(id) = self.wait_spans.remove(&request_id) {
-            self.tracer.end(id, now);
-            let at = self.wait_resolved.entry(request_id).or_insert(now);
-            *at = (*at).max(now);
-        }
     }
 
     /// The earliest honest start for a stage span that backdates to a
@@ -346,30 +401,9 @@ impl StackCommon {
     /// that resolved later pushes the start forward — the device was
     /// not working on the request while it was paused.
     pub fn arrival_span_start(&self, request_id: u64) -> SimTime {
-        let t0 = self
-            .times
+        self.in_flight
             .get(&request_id)
-            .map(|t| t.nic_arrival)
-            .unwrap_or(SimTime::ZERO);
-        match self.wait_resolved.get(&request_id) {
-            Some(&resolved) => t0.max(resolved),
-            None => t0,
-        }
-    }
-
-    /// Hands `request_id`'s finished span tree to the flight recorder
-    /// (retain-or-recycle) once its fate is settled. No-op unless the
-    /// recorder is armed.
-    fn settle_spans(&mut self, request_id: u64, at: SimTime) {
-        let Some(rec) = self.flightrec.as_mut() else {
-            return;
-        };
-        let latency_ps = self
-            .times
-            .get(&request_id)
-            .map(|t| at.since(t.nic_arrival).as_ps())
-            .unwrap_or(0);
-        rec.offer(request_id, latency_ps, at, &mut self.tracer);
+            .map_or(SimTime::ZERO, |r| r.times.nic_arrival.max(r.wait_resolved))
     }
 
     /// Admission check for an arriving (checksum-valid) request frame.
@@ -382,44 +416,70 @@ impl StackCommon {
     /// `Option` check.
     pub fn rx_gate(&mut self, request_id: u64, now: SimTime) -> RxGate {
         // A frame for this id reached the gate again: whatever stall
-        // the open wait span was timing is over.
+        // the open wait span was timing is over (a retransmit arrived,
+        // the backlog replayed). Wait spans exist only while tracing.
         if self.tracer.is_enabled() {
-            self.end_wait(request_id, now);
+            if let Some(r) = self.in_flight.get_mut(&request_id) {
+                r.end_wait(&mut self.tracer, now);
+            }
         }
         let Some(window) = self.dedup.as_mut() else {
             return RxGate::Execute;
         };
-        match window.get(&request_id) {
-            None => {
-                window.insert(request_id, DedupEntry::InFlight);
-                RxGate::Execute
+        // Frame ids are the driver's dense `0..offered` counter, so the
+        // table grows by one slot per request.
+        let i = request_id as usize;
+        if window.len() <= i {
+            window.resize(i + 1, DedupState::Unseen);
+        }
+        let Some(state) = window.get_mut(i) else {
+            return RxGate::Execute;
+        };
+        match *state {
+            DedupState::Unseen => {
+                *state = DedupState::Executing;
+                return RxGate::Execute;
             }
-            Some(DedupEntry::InFlight) => {
-                self.metrics.faults.dedup_dropped += 1;
-                RxGate::Duplicate
-            }
-            Some(DedupEntry::Done) => {
+            DedupState::Executing => self.metrics.faults.dedup_dropped += 1,
+            DedupState::Done => {
                 self.metrics.faults.dedup_replayed += 1;
                 let arrive = now + self.wire.deliver(REPLAY_FRAME_BYTES);
                 self.deliver_response(arrive, request_id);
-                RxGate::Duplicate
             }
         }
+        RxGate::Duplicate
+    }
+
+    /// Releases `request_id` from the dedup window if it is still
+    /// executing: it never answered, so a retransmit must be allowed
+    /// to run.
+    fn dedup_release(&mut self, request_id: u64) {
+        if let Some(s @ DedupState::Executing) = self.dedup_state(request_id) {
+            *s = DedupState::Unseen;
+        }
+    }
+
+    /// `request_id`'s dedup state, if a window is armed and covers it.
+    fn dedup_state(&mut self, request_id: u64) -> Option<&mut DedupState> {
+        self.dedup.as_mut()?.get_mut(request_id as usize)
     }
 
     /// The response for `request_id` reaches the client at `arrive`;
     /// the driver does the warmup/metrics/closed-loop bookkeeping.
     pub fn complete(&mut self, arrive: SimTime, request_id: u64) {
-        if let Some(id) = self.root_spans.remove(&request_id) {
-            self.end_wait(request_id, arrive);
-            self.tracer.end(id, arrive);
-            self.settle_spans(request_id, arrive);
+        if let Some(r) = self.in_flight.get_mut(&request_id) {
+            if let Some(root) = r.root_span.take() {
+                r.end_wait(&mut self.tracer, arrive);
+                let flightrec = self.flightrec.as_mut();
+                settle_spans(&mut self.tracer, flightrec, request_id, r, root, arrive);
+            }
         }
-        if let Some(window) = self.dedup.as_mut() {
+        // Every execution passed `rx_gate`, so the table covers the id.
+        if let Some(state) = self.dedup_state(request_id) {
             // `Done` → `Done` means the handler ran twice: the
             // at-most-once guarantee was violated. The counter is the
             // proof the FAULT experiment checks.
-            if window.insert(request_id, DedupEntry::Done) == Some(DedupEntry::Done) {
+            if std::mem::replace(state, DedupState::Done) == DedupState::Done {
                 self.metrics.faults.dup_executions += 1;
             }
         }
@@ -469,11 +529,7 @@ impl StackCommon {
     pub fn drop_request(&mut self, request_id: u64, at: SimTime) {
         if self.retry_active {
             self.begin_wait(request_id, Stage::RetryWait, at);
-            if let Some(window) = self.dedup.as_mut() {
-                if window.get(&request_id) == Some(&DedupEntry::InFlight) {
-                    window.remove(&request_id);
-                }
-            }
+            self.dedup_release(request_id);
             return;
         }
         self.abandon_request(request_id, at);
@@ -498,11 +554,7 @@ impl StackCommon {
             self.drop_request(request_id, now);
             return;
         }
-        if let Some(window) = self.dedup.as_mut() {
-            if window.get(&request_id) == Some(&DedupEntry::InFlight) {
-                window.remove(&request_id);
-            }
-        }
+        self.dedup_release(request_id);
         let arrive = now + self.wire.deliver(NACK_FRAME_BYTES);
         if self.tracer.is_enabled() {
             // The NACK flight is the whole backoff the request pays
@@ -530,39 +582,52 @@ impl StackCommon {
         self.drop_request(request_id, at);
     }
 
-    /// Terminally abandons `request_id` at `at`: counted dropped,
-    /// bookkeeping reclaimed, spans closed at the moment the request's
-    /// fate was sealed. The driver calls this when the retry budget
-    /// runs out; stacks reach it through [`StackCommon::drop_request`].
-    pub(crate) fn abandon_request(&mut self, request_id: u64, at: SimTime) {
+    /// Terminally abandons `request_id` at `at`: counted dropped, its
+    /// record removed and returned, spans closed at the moment the
+    /// request's fate was sealed. The driver calls this when it gives
+    /// up on a request; stacks reach it through
+    /// [`StackCommon::drop_request`].
+    pub(crate) fn abandon_request(&mut self, request_id: u64, at: SimTime) -> Option<InFlight> {
         self.metrics.dropped += 1;
+        let mut r = self.in_flight.remove(&request_id)?;
         // The wait span is a leaf: closing it at the abandonment is
         // always containment-safe.
-        self.end_wait(request_id, at);
-        if self.flightrec.is_some() {
+        r.end_wait(&mut self.tracer, at);
+        if let (Some(rec), Some(root)) = (self.flightrec.as_mut(), r.root_span) {
             // Recycle mode: the tree must leave the arena now or leak
             // its slots. `take_request` clips any still-open child.
-            if let Some(id) = self.root_spans.remove(&request_id) {
-                self.tracer.end(id, at);
-                self.settle_spans(request_id, at);
-            }
-        } else {
-            // The root span (if any) stays open; the driver's
-            // end-of-run `tracer.finish` closes it as truncated —
-            // a child (a handler whose response was lost) may still
-            // be executing past `at`.
-            self.root_spans.remove(&request_id);
+            settle_spans(&mut self.tracer, Some(rec), request_id, &r, root, at);
         }
-        self.times.remove(&request_id);
-        self.sw_cycles_by_req.remove(&request_id);
+        // Otherwise the root span (if any) stays open; the driver's
+        // end-of-run `tracer.finish` closes it as truncated — a child
+        // (a handler whose response was lost) may still be executing
+        // past `at`.
+        Some(r)
     }
 
     /// Releases `request_id` from the dedup window (crash recovery:
     /// the execution was lost, a retransmit must be allowed to run).
     pub fn dedup_forget(&mut self, request_id: u64) {
-        if let Some(window) = self.dedup.as_mut() {
-            window.remove(&request_id);
+        if let Some(s) = self.dedup_state(request_id) {
+            *s = DedupState::Unseen;
         }
+    }
+}
+
+/// Closes `root` at `at` and hands `request_id`'s finished span tree to
+/// the flight recorder (retain-or-recycle), if it is armed.
+fn settle_spans(
+    tracer: &mut SpanTracer,
+    flightrec: Option<&mut FlightRecorder>,
+    request_id: u64,
+    r: &InFlight,
+    root: SpanId,
+    at: SimTime,
+) {
+    tracer.end(root, at);
+    if let Some(rec) = flightrec {
+        let latency_ps = at.since(r.times.nic_arrival).as_ps();
+        rec.offer(request_id, latency_ps, at, tracer);
     }
 }
 
@@ -612,4 +677,43 @@ pub trait ServerStack {
     /// Finalises the run at `end`: returns the aggregate core-time
     /// account and the fabric/bus message count for the report.
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64);
+}
+
+#[cfg(test)]
+mod tests {
+    use lauberhorn_workload::SizeDist;
+
+    use super::*;
+    use crate::RetryPolicy;
+
+    /// The at-most-once byte table through every transition the
+    /// stacks drive: execute, suppress, replay, forget, re-execute,
+    /// and the double-completion alarm.
+    #[test]
+    fn dedup_table_walks_the_at_most_once_state_machine() {
+        let wl = WorkloadSpec::open_poisson(1000.0, 1, 0.0, SizeDist::Fixed { bytes: 64 }, 1, 7)
+            .with_retry(RetryPolicy::same_rack());
+        let mut c = StackCommon::new(WireModel::same_rack_100g());
+        c.begin(&wl);
+        let t = SimTime::from_us(1);
+        let id = 5;
+
+        assert_eq!(c.rx_gate(id, t), RxGate::Execute);
+        assert_eq!(c.rx_gate(id, t), RxGate::Duplicate);
+        assert_eq!(c.metrics.faults.dedup_dropped, 1);
+
+        c.complete(t, id);
+        assert_eq!(c.rx_gate(id, t), RxGate::Duplicate);
+        assert_eq!(c.metrics.faults.dedup_replayed, 1);
+
+        c.dedup_forget(id);
+        assert_eq!(c.rx_gate(id, t), RxGate::Execute);
+        c.complete(t, id);
+        assert_eq!(c.metrics.faults.dup_executions, 0);
+        c.complete(t, id);
+        assert_eq!(c.metrics.faults.dup_executions, 1);
+
+        // Lower ids the table grew over are untouched.
+        assert_eq!(c.rx_gate(0, t), RxGate::Execute);
+    }
 }

@@ -34,11 +34,6 @@
 //!   runs once the cancelled population exceeds the live population
 //!   (plus slack) — memory stays bounded by O(live) regardless of how
 //!   many schedule/cancel cycles a run performs.
-//! * **Batching.** [`EventQueue::pop_batch`] drains every event that
-//!   shares the earliest pending timestamp in one call. Because any
-//!   event scheduled *while processing* the batch necessarily has a
-//!   higher sequence number than everything drained, batch delivery
-//!   is observationally identical to repeated `pop()`.
 //!
 //! All counters (`seq`, `popped`) are `u64`: at 10⁹ events/sec they
 //! roll over after ~584 years of wall clock, so 10⁸⁺-event sweeps are
@@ -491,48 +486,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drains every event sharing the earliest pending timestamp into
-    /// `out`, advancing the clock once. Returns the number drained.
-    ///
-    /// Observationally identical to calling [`EventQueue::pop`] until
-    /// the head timestamp changes: an event scheduled *during* batch
-    /// processing at the same timestamp has a higher sequence number
-    /// than everything drained, so it belongs after the batch either
-    /// way.
-    pub fn pop_batch(&mut self, out: &mut Vec<(SimTime, E)>) -> usize {
-        let Some((t0, first)) = self.pop() else {
-            return 0;
-        };
-        out.push((t0, first));
-        let mut n = 1;
-        // After `refill`, every event with timestamp `t0` is already in
-        // the ready run (anything still in the wheel or calendar has a
-        // strictly later tick), so the rest of the batch drains without
-        // touching the wheel again.
-        while let Some(&idx) = self.ready.front() {
-            let same_time = self
-                .nodes
-                .get(idx as usize)
-                .is_some_and(|node| node.at == t0);
-            if !same_time {
-                break;
-            }
-            self.ready.pop_front();
-            match self.free_node(idx) {
-                Some((t, e)) => {
-                    self.popped += 1;
-                    self.live -= 1;
-                    out.push((t, e));
-                    n += 1;
-                }
-                None => {
-                    self.cancelled_pending = self.cancelled_pending.saturating_sub(1);
-                }
-            }
-        }
-        n
-    }
-
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
@@ -875,33 +828,6 @@ mod tests {
             assert_eq!(q.pop().map(|(_, e)| e), Some(level as i32 * 10 + 1));
         }
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn pop_batch_drains_exactly_one_timestamp() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(7);
-        for i in 0..5 {
-            q.schedule(t, i);
-        }
-        q.schedule(SimTime::from_ns(8), 99);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 5);
-        assert_eq!(
-            batch
-                .iter()
-                .map(|&(bt, e)| {
-                    assert_eq!(bt, t);
-                    e
-                })
-                .collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
-        );
-        assert_eq!(q.now(), t);
-        let mut rest = Vec::new();
-        assert_eq!(q.pop_batch(&mut rest), 1);
-        assert_eq!(rest, vec![(SimTime::from_ns(8), 99)]);
-        assert_eq!(q.pop_batch(&mut rest), 0);
     }
 
     #[test]
