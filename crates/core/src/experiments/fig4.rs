@@ -76,7 +76,7 @@ pub fn run() -> Timeline {
         base,
         base + (1 << 20),
     );
-    let mut nic = LauberhornNic::new(nic_cfg, 1, 1_000_000.0);
+    let mut nic = LauberhornNic::new(nic_cfg, 1);
     nic.demux_mut().register_service(1, ProcessId(7));
     nic.demux_mut()
         .register_method(
@@ -174,7 +174,7 @@ pub fn run() -> Timeline {
                         ),
                     });
                 }
-                NicAction::ArmTimeout { .. } | NicAction::KernelDelivery { .. } => {}
+                NicAction::ArmTimeout { .. } => {}
                 other => {
                     tl.events.push(Event {
                         at: SimTime::ZERO,

@@ -76,7 +76,7 @@ pub fn run() -> NestedRun {
         base,
         base + (1 << 20),
     );
-    let mut nic = LauberhornNic::new(nic_cfg, 2, 1_000_000.0);
+    let mut nic = LauberhornNic::new(nic_cfg, 2);
     let sig = Signature::of(&[ArgType::Bytes]);
     for (svc, process) in [(1u16, ProcessId(1)), (2u16, ProcessId(2))] {
         nic.demux_mut().register_service(svc, process);
@@ -127,7 +127,7 @@ pub fn run() -> NestedRun {
                     let (_, lat) = coh.device_fetch_exclusive(line);
                     collects.push((ctx, at + lat));
                 }
-                NicAction::ArmTimeout { .. } | NicAction::KernelDelivery { .. } => {}
+                NicAction::ArmTimeout { .. } => {}
                 other => panic!("unexpected action: {other:?}"),
             }
         }

@@ -72,7 +72,7 @@ pub fn run() -> TxPathRun {
         sbase,
         sbase + (1 << 20),
     );
-    let mut snic = LauberhornNic::new(server_cfg, 1, 1_000_000.0);
+    let mut snic = LauberhornNic::new(server_cfg, 1);
     snic.demux_mut().register_service(1, ProcessId(1));
     snic.demux_mut()
         .register_method(1, 0xC0DE, 0xDA7A, Signature::of(&[ArgType::Bytes]))

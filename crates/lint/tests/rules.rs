@@ -62,23 +62,6 @@ fn bad_pragma_fixture_trips_and_suppresses_nothing() {
 }
 
 #[test]
-fn telemetry_fixture_trips_unguarded_emit_only() {
-    let got = rules("rpc", include_str!("../fixtures/telemetry.rs"));
-    assert!(
-        got.iter().all(|r| *r == Rule::UnguardedTelemetry),
-        "{got:?}"
-    );
-    // The bare call, the hand-guarded call, the bare shed-counter
-    // emission, the bare watchdog-heartbeat narration, the bare
-    // sim.span retention emit, and the bare per-tenant admission
-    // narration trip; the trace_ev! forms and the pragma-suppressed
-    // call do not.
-    assert_eq!(got.len(), 6, "{got:?}");
-    // `sim` defines the macro and is exempt from the rule.
-    assert!(rules("sim", include_str!("../fixtures/telemetry.rs")).is_empty());
-}
-
-#[test]
 fn test_gated_fixture_is_clean() {
     let got = rules("os", include_str!("../fixtures/test_gated.rs"));
     assert!(got.is_empty(), "{got:?}");

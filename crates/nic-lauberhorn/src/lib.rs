@@ -17,8 +17,6 @@
 //! * [`demux`] — service demultiplexing informed by OS state (§5.2).
 //! * [`sched_mirror`] — the NIC's mirror of kernel scheduling state,
 //!   updated over the same lightweight cache-line channels (§4, §5.2).
-//! * [`load`] — per-service load statistics the NIC gathers to drive
-//!   rescheduling and dynamic core scaling (§4, §5.2).
 //! * [`large`] — the ≥4 KiB DMA fallback (§6).
 //! * [`continuation`] — ephemeral reply endpoints for nested RPCs (§6).
 //! * [`tx`] — the transmit path: request submission over a disjoint
@@ -34,7 +32,6 @@ pub mod demux;
 pub mod dispatch;
 pub mod endpoint;
 pub mod large;
-pub mod load;
 pub mod nic;
 pub mod sched_mirror;
 pub mod tenancy;

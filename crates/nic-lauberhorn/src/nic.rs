@@ -1,9 +1,8 @@
 //! The composed Lauberhorn NIC.
 //!
 //! [`LauberhornNic`] owns all device-resident state — demux tables,
-//! endpoint protocol engines, the scheduler mirror, load statistics,
-//! continuations — and exposes three event entry points the machine
-//! simulation drives:
+//! endpoint protocol engines, the scheduler mirror, continuations —
+//! and exposes three event entry points the machine simulation drives:
 //!
 //! * [`LauberhornNic::on_core_load`] — a core's load on a device-homed
 //!   line was parked by the coherence system,
@@ -12,9 +11,11 @@
 //! * [`LauberhornNic::on_timeout`] — a TRYAGAIN timer fired.
 //!
 //! Each returns [`NicAction`]s: timestamped instructions for the
-//! simulation (answer this fill, fetch-exclusive and transmit, DMA this
-//! buffer, …). Keeping the NIC pure in this sense makes every decision
-//! unit-testable and lets the model checker drive the same logic.
+//! simulation (answer this fill, arm this timer, fetch-exclusive and
+//! transmit, …). Every action drives the machine; counters live in
+//! [`LbNicStats`]. Keeping the NIC pure in this sense makes every
+//! decision unit-testable and lets the model checker drive the same
+//! logic.
 
 use std::collections::HashMap;
 
@@ -32,7 +33,6 @@ use crate::demux::{DemuxError, DemuxTable};
 use crate::dispatch::{DispatchKind, DispatchLine};
 use crate::endpoint::{Endpoint, EndpointId, EndpointLayout, LineRole, RequestCtx, RequestOutcome};
 use crate::large::LargeTransferModel;
-use crate::load::{Advice, LoadTracker};
 use crate::sched_mirror::SchedMirror;
 use crate::tenancy::{RateLimited, TenantPipeline};
 
@@ -180,26 +180,6 @@ pub enum NicAction {
         /// When the fetch begins.
         at: SimTime,
     },
-    /// DMA-fallback payload write into host memory.
-    DmaWrite {
-        /// Destination host buffer.
-        buffer: u64,
-        /// Payload bytes.
-        bytes: Vec<u8>,
-        /// When the DMA completes.
-        done_at: SimTime,
-    },
-    /// A request was handed to the kernel dispatch path on `core` for
-    /// `process` (Figure 5 right side): the sim charges the software
-    /// context switch before the handler runs.
-    KernelDelivery {
-        /// Core whose kernel thread took the request.
-        core: usize,
-        /// Process the request targets.
-        process: ProcessId,
-        /// Delivery time.
-        at: SimTime,
-    },
     /// A request is waiting but no core is parked anywhere useful: the
     /// NIC asks the OS to preempt `core` (a user-loop poller) back into
     /// the kernel dispatch loop (§4: the NIC "requests the OS to
@@ -208,15 +188,6 @@ pub enum NicAction {
         /// Victim core (currently parked in a user-mode loop).
         core: usize,
         /// When the request is raised.
-        at: SimTime,
-    },
-    /// The NIC's load statistics recommend rescheduling (§5.2).
-    ScaleHint {
-        /// Service concerned.
-        service: u16,
-        /// Recommendation.
-        advice: Advice,
-        /// When issued.
         at: SimTime,
     },
     /// Frame dropped.
@@ -355,7 +326,6 @@ pub struct LauberhornNic {
     /// produced (for cross-endpoint collection, Figure 5 lifecycle).
     pending_response_by_core: HashMap<usize, EndpointId>,
     mirror: SchedMirror,
-    load: LoadTracker,
     conts: ContinuationTable,
     kernel_eps: Vec<Option<EndpointId>>,
     next_ep: u32,
@@ -371,7 +341,7 @@ pub struct LauberhornNic {
 
 impl LauberhornNic {
     /// Creates the NIC for a machine with `num_cores` cores.
-    pub fn new(cfg: LauberhornNicConfig, num_cores: usize, core_capacity_rps: f64) -> Self {
+    pub fn new(cfg: LauberhornNicConfig, num_cores: usize) -> Self {
         LauberhornNic {
             alloc_cursor: cfg.device_base,
             dma_cursor: cfg.dma_buffer_base,
@@ -382,7 +352,6 @@ impl LauberhornNic {
             parked_core: HashMap::new(),
             pending_response_by_core: HashMap::new(),
             mirror: SchedMirror::new(num_cores),
-            load: LoadTracker::new(core_capacity_rps),
             conts: ContinuationTable::new(4096),
             kernel_eps: vec![None; num_cores],
             next_ep: 0,
@@ -496,11 +465,6 @@ impl LauberhornNic {
     /// The scheduler mirror (read access for experiments).
     pub fn mirror(&self) -> &SchedMirror {
         &self.mirror
-    }
-
-    /// The load tracker (read access for experiments).
-    pub fn load(&self) -> &LoadTracker {
-        &self.load
     }
 
     /// The continuation table.
@@ -643,11 +607,6 @@ impl LauberhornNic {
     /// [`crate::sched_mirror::MIRROR_PUSH_COST`], charged by the caller).
     pub fn push_running(&mut self, core: usize, process: Option<ProcessId>, now: SimTime) {
         self.mirror.set_running(core, process, now);
-    }
-
-    /// The OS tells the load tracker how many cores serve `service`.
-    pub fn set_service_cores(&mut self, service: u16, cores: usize) {
-        self.load.set_cores(service, cores);
     }
 
     fn map_effects(
@@ -1107,7 +1066,6 @@ impl LauberhornNic {
         };
         t += self.deser_time(wire_payload.len());
         self.stats.rx_requests += 1;
-        self.load.record_arrival(header.service_id, t);
         // Weighted max-min fair admission (overload control): under
         // congestion, a service pulling more than its fair share of the
         // admission window is shed before it can occupy a queue slot.
@@ -1130,22 +1088,16 @@ impl LauberhornNic {
             cont_hint: header.cont_hint,
         };
         // Large-message fallback (§6): payload too big for the line
-        // protocol goes through DMA and the line carries a descriptor.
-        let mut pre_actions = Vec::new();
+        // protocol goes through DMA and the line carries a descriptor;
+        // the line is delivered once the payload write completes.
         let line = if args.len() > self.aux_capacity() || args.len() >= self.cfg.dma_threshold {
             self.stats.dma_fallbacks += 1;
             let buffer = self.dma_cursor;
             self.dma_cursor += (args.len() as u64).div_ceil(4096) * 4096;
-            let done_at = t + self.cfg.transfer.dma_time(args.len());
+            t += self.cfg.transfer.dma_time(args.len());
             let mut desc = Vec::with_capacity(16);
             desc.extend_from_slice(&buffer.to_le_bytes());
             desc.extend_from_slice(&(args.len() as u64).to_le_bytes());
-            pre_actions.push(NicAction::DmaWrite {
-                buffer,
-                bytes: args,
-                done_at,
-            });
-            t = done_at;
             DispatchLine {
                 code_ptr,
                 data_ptr,
@@ -1179,23 +1131,20 @@ impl LauberhornNic {
             {
                 Some(RequestOutcome::DeliveredToParked(effects)) => {
                     self.stats.fast_path += 1;
-                    let mut actions = pre_actions;
-                    actions.extend(self.map_effects(id, effects, t, None));
-                    return actions;
+                    return self.map_effects(id, effects, t, None);
                 }
-                Some(RequestOutcome::Queued { depth }) => {
+                Some(RequestOutcome::Queued { .. }) => {
                     // A wedged line engine (stuck-line fault) holds a
                     // parked fill it cannot answer: the request queues
                     // behind it until the watchdog repairs the line.
                     self.stats.queued_user += 1;
-                    self.load.record_queue_depth(header.service_id, depth);
-                    return pre_actions;
+                    return Vec::new();
                 }
                 other => {
                     // A parked endpoint answers the delivery; anything
                     // else means it vanished between the scan and now.
                     debug_assert!(other.is_none(), "endpoint was parked");
-                    return pre_actions;
+                    return Vec::new();
                 }
             }
         }
@@ -1216,115 +1165,30 @@ impl LauberhornNic {
             let scale_out = depth >= self.cfg.scale_up_queue_threshold
                 && !self.mirror.kernel_pollers().is_empty();
             if !scale_out {
-                let depth_now = {
-                    match self
-                        .endpoints
-                        .get_mut(&id)
-                        .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
-                    {
-                        Some(RequestOutcome::Queued { depth }) => Some(depth),
-                        Some(RequestOutcome::DeliveredToParked(effects)) => {
-                            // Raced with a park between the check and now.
-                            self.stats.fast_path += 1;
-                            let mut actions = pre_actions;
-                            actions.extend(self.map_effects(id, effects, t, None));
-                            return actions;
-                        }
-                        Some(RequestOutcome::Rejected) | None => None,
+                match self
+                    .endpoints
+                    .get_mut(&id)
+                    .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
+                {
+                    Some(RequestOutcome::Queued { .. }) => {
+                        self.stats.queued_user += 1;
+                        return Vec::new();
                     }
-                };
-                if let Some(depth) = depth_now {
-                    self.stats.queued_user += 1;
-                    self.load.record_queue_depth(header.service_id, depth);
-                    let mut actions = pre_actions;
-                    let advice = self.load.advice(header.service_id);
-                    if advice != Advice::Hold {
-                        actions.push(NicAction::ScaleHint {
-                            service: header.service_id,
-                            advice,
-                            at: t,
-                        });
+                    Some(RequestOutcome::DeliveredToParked(effects)) => {
+                        // Raced with a park between the check and now.
+                        self.stats.fast_path += 1;
+                        return self.map_effects(id, effects, t, None);
                     }
-                    return actions;
+                    // Fall through to kernel delivery on overflow.
+                    Some(RequestOutcome::Rejected) | None => {}
                 }
-                // Fall through to kernel delivery on overflow.
             }
         }
-        // 3. a core parked in the kernel-mode dispatch loop takes it.
-        //    The mirror is the NIC's view of scheduler state and may be
-        //    stale; a poller that left (or an endpoint that was torn
-        //    down) between observations is not a crash, the request
-        //    just falls through to the kernel queues.
-        if let Some((core, kep)) = self.mirror.kernel_pollers().first().copied() {
-            let outcome = self
-                .endpoints
-                .get_mut(&kep)
-                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t));
-            match outcome {
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
-                    self.stats.kernel_path += 1;
-                    let mut actions = pre_actions;
-                    actions.push(NicAction::KernelDelivery {
-                        core,
-                        process,
-                        at: t,
-                    });
-                    actions.extend(self.map_effects(kep, effects, t, None));
-                    return actions;
-                }
-                Some(RequestOutcome::Queued { .. }) => {
-                    // Stale mirror: the poller had already woken, but
-                    // the request is safely queued at its endpoint.
-                    self.stats.queued_kernel += 1;
-                    return pre_actions;
-                }
-                Some(RequestOutcome::Rejected) | None => {}
-            }
-        }
-        // 4. queue at the least-loaded kernel endpoint; with every core
-        //    busy in user loops, additionally ask the OS to preempt one
-        //    back to the dispatch loop so the queue drains promptly.
-        let kq = self
-            .kernel_eps
-            .iter()
-            .flatten()
-            .min_by_key(|id| {
-                self.endpoints
-                    .get(id)
-                    .map_or(usize::MAX, |e| e.queue_depth())
-            })
-            .copied();
-        if let Some(id) = kq {
-            let outcome = self
-                .endpoints
-                .get_mut(&id)
-                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t));
-            match outcome {
-                Some(RequestOutcome::Queued { .. }) => {
-                    self.stats.queued_kernel += 1;
-                    let mut actions = pre_actions;
-                    if let Some(core) = self.preemption_victim() {
-                        actions.push(NicAction::RequestPreempt { core, at: t });
-                    }
-                    return actions;
-                }
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
-                    self.stats.kernel_path += 1;
-                    let core = match self.modes.get(&id) {
-                        Some(EpMode::Kernel { core }) => *core,
-                        _ => 0,
-                    };
-                    let mut actions = pre_actions;
-                    actions.push(NicAction::KernelDelivery {
-                        core,
-                        process,
-                        at: t,
-                    });
-                    actions.extend(self.map_effects(id, effects, t, None));
-                    return actions;
-                }
-                Some(RequestOutcome::Rejected) | None => {}
-            }
+        // 3–4. a core parked in the kernel-mode dispatch loop takes it,
+        //    or it queues at the least-loaded kernel endpoint
+        //    (`deliver_to_kernel`);
+        if let Some(actions) = self.deliver_to_kernel(&line, &ctx, t) {
+            return actions;
         }
         // 5. last resort: queue at a user endpoint of the service even
         //    if the process is not known to be running (better than
@@ -1336,16 +1200,13 @@ impl LauberhornNic {
         }) {
             if let Some(ep) = self.endpoints.get_mut(&id) {
                 match ep.on_request(line, ctx, t) {
-                    RequestOutcome::Queued { depth } => {
+                    RequestOutcome::Queued { .. } => {
                         self.stats.queued_user += 1;
-                        self.load.record_queue_depth(header.service_id, depth);
-                        return pre_actions;
+                        return Vec::new();
                     }
                     RequestOutcome::DeliveredToParked(effects) => {
                         self.stats.fast_path += 1;
-                        let mut actions = pre_actions;
-                        actions.extend(self.map_effects(id, effects, t, None));
-                        return actions;
+                        return self.map_effects(id, effects, t, None);
                     }
                     RequestOutcome::Rejected => {}
                 }
@@ -1364,52 +1225,41 @@ impl LauberhornNic {
         self.drop_frame(DropReason::Overflow, Some(header.request_id))
     }
 
-    /// Re-queues a request salvaged from a crashed process onto the
-    /// kernel dispatch path — steps 3–4 of the delivery preference
-    /// order: a parked kernel poller takes it immediately, otherwise it
+    /// Steps 3–4 of the delivery preference order: a core parked in
+    /// the kernel-mode dispatch loop takes the request, otherwise it
     /// queues at the least-loaded kernel endpoint (asking the OS to
-    /// preempt a user poller when every core is busy).
-    pub fn redeliver_to_kernel(
+    /// preempt a user poller when every core is busy, so the queue
+    /// drains promptly). `None` means no kernel endpoint took it.
+    fn deliver_to_kernel(
         &mut self,
-        now: SimTime,
-        line: DispatchLine,
-        ctx: RequestCtx,
-    ) -> Vec<NicAction> {
-        let t = now + self.cfg.nic_proc;
-        let request_id = ctx.request_id;
-        let process = match self.demux.service(ctx.service_id) {
-            Ok(svc) => svc.process,
-            Err(_) => {
-                return self
-                    .drop_frame(DropReason::UnknownService(ctx.service_id), Some(request_id))
-            }
-        };
-        // As in `handle_request`, tolerate a stale mirror: a poller
-        // that vanished means the request falls through to the queues.
-        if let Some((core, kep)) = self.mirror.kernel_pollers().first().copied() {
-            let outcome = self
+        line: &DispatchLine,
+        ctx: &RequestCtx,
+        t: SimTime,
+    ) -> Option<Vec<NicAction>> {
+        // The mirror is the NIC's view of scheduler state and may be
+        // stale; a poller that left (or an endpoint that was torn down)
+        // between observations is not a crash, the request just falls
+        // through to the kernel queues.
+        if let Some((_, kep)) = self.mirror.kernel_pollers().first().copied() {
+            match self
                 .endpoints
                 .get_mut(&kep)
-                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t));
-            match outcome {
+                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
+            {
                 Some(RequestOutcome::DeliveredToParked(effects)) => {
                     self.stats.kernel_path += 1;
-                    let mut actions = vec![NicAction::KernelDelivery {
-                        core,
-                        process,
-                        at: t,
-                    }];
-                    actions.extend(self.map_effects(kep, effects, t, None));
-                    return actions;
+                    return Some(self.map_effects(kep, effects, t, None));
                 }
                 Some(RequestOutcome::Queued { .. }) => {
+                    // Stale mirror: the poller had already woken, but
+                    // the request is safely queued at its endpoint.
                     self.stats.queued_kernel += 1;
-                    return Vec::new();
+                    return Some(Vec::new());
                 }
                 Some(RequestOutcome::Rejected) | None => {}
             }
         }
-        let kq = self
+        let id = self
             .kernel_eps
             .iter()
             .flatten()
@@ -1418,39 +1268,47 @@ impl LauberhornNic {
                     .get(id)
                     .map_or(usize::MAX, |e| e.queue_depth())
             })
-            .copied();
-        if let Some(id) = kq {
-            match self
-                .endpoints
-                .get_mut(&id)
-                .map(|ep| ep.on_request(line, ctx, t))
-            {
-                Some(RequestOutcome::Queued { .. }) => {
-                    self.stats.queued_kernel += 1;
-                    let mut actions = Vec::new();
-                    if let Some(core) = self.preemption_victim() {
-                        actions.push(NicAction::RequestPreempt { core, at: t });
-                    }
-                    return actions;
+            .copied()?;
+        match self
+            .endpoints
+            .get_mut(&id)
+            .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
+        {
+            Some(RequestOutcome::Queued { .. }) => {
+                self.stats.queued_kernel += 1;
+                let mut actions = Vec::new();
+                if let Some(core) = self.preemption_victim() {
+                    actions.push(NicAction::RequestPreempt { core, at: t });
                 }
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
-                    self.stats.kernel_path += 1;
-                    let core = match self.modes.get(&id) {
-                        Some(EpMode::Kernel { core }) => *core,
-                        _ => 0,
-                    };
-                    let mut actions = vec![NicAction::KernelDelivery {
-                        core,
-                        process,
-                        at: t,
-                    }];
-                    actions.extend(self.map_effects(id, effects, t, None));
-                    return actions;
-                }
-                Some(RequestOutcome::Rejected) | None => {}
+                Some(actions)
             }
+            Some(RequestOutcome::DeliveredToParked(effects)) => {
+                self.stats.kernel_path += 1;
+                Some(self.map_effects(id, effects, t, None))
+            }
+            Some(RequestOutcome::Rejected) | None => None,
         }
-        self.drop_frame(DropReason::Overflow, Some(request_id))
+    }
+
+    /// Re-queues a request salvaged from a crashed process (or a
+    /// repaired or reset NIC) onto the kernel dispatch path.
+    pub fn redeliver_to_kernel(
+        &mut self,
+        now: SimTime,
+        line: DispatchLine,
+        ctx: RequestCtx,
+    ) -> Vec<NicAction> {
+        let t = now + self.cfg.nic_proc;
+        if self.demux.service(ctx.service_id).is_err() {
+            return self.drop_frame(
+                DropReason::UnknownService(ctx.service_id),
+                Some(ctx.request_id),
+            );
+        }
+        match self.deliver_to_kernel(&line, &ctx, t) {
+            Some(actions) => actions,
+            None => self.drop_frame(DropReason::Overflow, Some(ctx.request_id)),
+        }
     }
 
     /// Drains every request queued at `endpoint` (used when its owning
@@ -1546,15 +1404,10 @@ impl LauberhornNic {
         &mut self,
         endpoint: EndpointId,
     ) -> Vec<(DispatchLine, RequestCtx)> {
-        let Some(ep) = self.endpoints.get_mut(&endpoint) else {
-            return Vec::new();
-        };
-        ep.set_stuck(false);
-        let mut out = Vec::new();
-        while let Some(pair) = ep.steal_request() {
-            out.push(pair);
+        if let Some(ep) = self.endpoints.get_mut(&endpoint) {
+            ep.set_stuck(false);
         }
-        out
+        self.drain_endpoint_queue(endpoint)
     }
 
     /// Declares the scheduler mirror coherent again after the kernel
@@ -1689,7 +1542,6 @@ mod tests {
         let mut n = LauberhornNic::new(
             LauberhornNicConfig::enzian(EndpointAddr::host(100, 9000)),
             4,
-            100_000.0,
         );
         n.demux_mut().register_service(1, ProcessId(10));
         n.demux_mut()
@@ -1727,8 +1579,10 @@ mod tests {
         // Core 2 parks on CONTROL[0].
         let acts = n.on_core_load(SimTime::ZERO, 2, FillToken(1), layout.ctrl(0));
         assert!(matches!(acts[0], NicAction::ArmTimeout { .. }));
-        // A request arrives: the fill is answered with the dispatch line.
+        // A request arrives: the fill is answered with the dispatch line,
+        // and that answer is the only thing the fast path emits.
         let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42));
+        assert_eq!(acts.len(), 1, "{acts:?}");
         let fill = acts
             .iter()
             .find_map(|a| match a {
@@ -1799,9 +1653,6 @@ mod tests {
         // Core 3 parks on the kernel endpoint.
         n.on_core_load(SimTime::ZERO, 3, FillToken(9), klayout.ctrl(0));
         let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(2, 5));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, NicAction::KernelDelivery { core: 3, .. })));
         assert!(acts.iter().any(|a| matches!(
             a,
             NicAction::CompleteFill {
@@ -1898,18 +1749,8 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::from_us(1), &raw);
-        let dma = acts
-            .iter()
-            .find_map(|a| match a {
-                NicAction::DmaWrite {
-                    buffer,
-                    bytes,
-                    done_at,
-                } => Some((buffer, bytes, done_at)),
-                _ => None,
-            })
-            .expect("dma fallback");
+        let arrival = SimTime::from_us(1);
+        let acts = n.on_request_frame(arrival, &raw);
         let fill = acts
             .iter()
             .find_map(|a| match a {
@@ -1920,11 +1761,12 @@ mod tests {
         let line = DispatchLine::decode(fill.0, &[]).unwrap();
         assert_eq!(line.kind, DispatchKind::DmaDescriptor);
         let buf = u64::from_le_bytes(line.args[0..8].try_into().unwrap());
-        let len = u64::from_le_bytes(line.args[8..16].try_into().unwrap());
-        assert_eq!(buf, *dma.0);
-        assert_eq!(len as usize, dma.1.len());
+        let len = u64::from_le_bytes(line.args[8..16].try_into().unwrap()) as usize;
+        // The first fallback buffer, holding the whole payload.
+        assert_eq!(buf, n.config().dma_buffer_base);
+        assert!(len > n.config().dma_threshold, "len {len}");
         // The line is delivered only after the DMA completes.
-        assert!(fill.1 >= dma.2);
+        assert!(*fill.1 >= arrival + n.config().transfer.dma_time(len));
         assert_eq!(n.stats().dma_fallbacks, 1);
     }
 
@@ -2089,9 +1931,14 @@ mod tests {
         assert!(!acts
             .iter()
             .any(|a| matches!(a, NicAction::RequestPreempt { .. })));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, NicAction::KernelDelivery { core: 0, .. })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            NicAction::CompleteFill {
+                token: FillToken(1),
+                ..
+            }
+        )));
+        assert_eq!(n.stats().kernel_path, 1);
     }
 
     #[test]
@@ -2268,9 +2115,14 @@ mod tests {
         n.on_core_load(SimTime::from_us(11), 0, FillToken(40), lk0.ctrl(0));
         let (line, ctx) = salvage.orphans.into_iter().next().unwrap();
         let acts = n.redeliver_to_kernel(SimTime::from_us(12), line, ctx);
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, NicAction::KernelDelivery { core: 0, .. })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            NicAction::CompleteFill {
+                token: FillToken(40),
+                ..
+            }
+        )));
+        assert_eq!(n.stats().kernel_path, 1);
         // New endpoints never collide with restored ids.
         let (e_new, _) = n.create_endpoint(ProcessId(30));
         assert!(e_new.0 > k0.0);
@@ -2339,9 +2191,14 @@ mod tests {
             .unwrap();
         assert!(n.probe_health().healthy());
         let acts = n.on_request_frame(SimTime::from_us(2), &request_frame(2, 2));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, NicAction::KernelDelivery { core: 0, .. })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            NicAction::CompleteFill {
+                token: FillToken(1),
+                ..
+            }
+        )));
+        assert_eq!(n.stats().kernel_path, 1);
     }
 
     #[test]
@@ -2368,9 +2225,8 @@ mod tests {
         // crash or drop.
         n.mirror.observe_poll(0, kep, true, SimTime::ZERO);
         let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(4, 4));
-        assert!(!acts
-            .iter()
-            .any(|a| matches!(a, NicAction::KernelDelivery { .. })));
+        assert!(acts.is_empty(), "no fill to answer: {acts:?}");
+        assert_eq!(n.stats().kernel_path, 0);
         assert_eq!(n.stats().queued_kernel, 1);
         assert_eq!(n.endpoint(kep).unwrap().queue_depth(), 1);
     }

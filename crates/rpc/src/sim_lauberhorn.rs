@@ -34,7 +34,7 @@ use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::fault::{FaultDecision, NicFaultKind, NicFaultSpec};
-use lauberhorn_sim::{trace_ev, EventQueue, SimDuration, SimRng, SimTime, SpanId, Stage, Trace};
+use lauberhorn_sim::{EventQueue, SimDuration, SimRng, SimTime, SpanId, Stage};
 
 use crate::report::Report;
 use crate::spec::{Behavior, ServiceSpec, WorkloadSpec};
@@ -196,7 +196,6 @@ pub struct LauberhornSim {
     resp_payload: BTreeMap<u64, Vec<u8>>,
     record_responses: bool,
     server_addr: EndpointAddr,
-    trace: Trace,
     /// Requests whose handler was killed by an injected crash: their
     /// pending `HandlerDone` events must be ignored.
     crashed: BTreeSet<u64>,
@@ -272,8 +271,7 @@ impl LauberhornSim {
             device_base,
             device_base + (64 << 20),
         );
-        // Per-core service capacity for the load tracker: rough 1/µs.
-        let mut nic = LauberhornNic::new(nic_cfg, cfg.cores, 1_000_000.0);
+        let mut nic = LauberhornNic::new(nic_cfg, cfg.cores);
         let mut shadow = ShadowRegistry::new();
         for s in &services {
             let (code, data) = (
@@ -315,7 +313,6 @@ impl LauberhornSim {
             resp_payload: BTreeMap::new(),
             record_responses: false,
             server_addr,
-            trace: Trace::disabled(),
             crashed: BTreeSet::new(),
             park_spans: vec![SpanId::NONE; cfg.cores],
             fault_tolerant: false,
@@ -332,17 +329,6 @@ impl LauberhornSim {
             next_pump: None,
             cfg,
         }
-    }
-
-    /// Enables event tracing (§6's tracing/statistics integration),
-    /// retaining at most `cap` events.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Trace::enabled(cap);
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Read access to the NIC (experiments inspect its stats).
@@ -410,12 +396,6 @@ impl LauberhornSim {
                 NicAction::CollectAndTransmit { line, ctx, at } => {
                     self.q.schedule(at, Ev::DoCollect { line, ctx });
                 }
-                NicAction::DmaWrite { .. } => {
-                    // Timing is already folded into the delayed fill.
-                }
-                NicAction::KernelDelivery { .. } | NicAction::ScaleHint { .. } => {
-                    // Stats only; the core-mode logic charges the costs.
-                }
                 NicAction::RequestPreempt { core, at } => {
                     self.q.schedule(at, Ev::Preempt { core });
                 }
@@ -439,19 +419,11 @@ impl LauberhornSim {
                     self.schedule_pump(at);
                 }
                 NicAction::Shed {
-                    reason,
                     request_id,
                     hint,
                     at,
                     ..
                 } => {
-                    trace_ev!(
-                        self.trace,
-                        at,
-                        "nic.shed",
-                        "request {request_id} shed ({}, hint {hint})",
-                        reason.label()
-                    );
                     // With pushback armed this NACKs the client (which
                     // paces via AIMD); otherwise it degrades to a drop.
                     self.common.shed_request(request_id, hint, at);
@@ -483,23 +455,11 @@ impl LauberhornSim {
             }
             FaultDecision::Drop | FaultDecision::Corrupt { .. } => {
                 self.common.metrics.faults.fill_faults += 1;
-                trace_ev!(
-                    self.trace,
-                    at,
-                    "fault.fill",
-                    "fill for {token:?} lost; fabric retry after {spike:?}"
-                );
                 self.q
                     .schedule(at + spike, Ev::DoCompleteFill { token, data });
             }
             FaultDecision::Duplicate { gap } => {
                 self.common.metrics.faults.fill_faults += 1;
-                trace_ev!(
-                    self.trace,
-                    at,
-                    "fault.fill",
-                    "fill for {token:?} duplicated"
-                );
                 self.q.schedule(
                     at,
                     Ev::DoCompleteFill {
@@ -512,12 +472,6 @@ impl LauberhornSim {
             }
             FaultDecision::Delay { extra } => {
                 self.common.metrics.faults.fill_faults += 1;
-                trace_ev!(
-                    self.trace,
-                    at,
-                    "fault.fill",
-                    "fill for {token:?} delayed by {extra:?}"
-                );
                 self.q
                     .schedule(at + extra, Ev::DoCompleteFill { token, data });
             }
@@ -660,7 +614,6 @@ impl LauberhornSim {
         let (kind, request_id, n_aux, arg_len, service) = Self::parse_ctrl(&data);
         match kind {
             DispatchKind::TryAgain => {
-                trace_ev!(self.trace, now, "nic.tryagain", "core {core} unblocked");
                 self.coh.drop_line(CacheId(core), addr);
                 self.ctx_mut(core).tryagain_streak += 1;
                 let is_user = matches!(self.ctx(core).mode, LoopMode::User { .. });
@@ -697,7 +650,6 @@ impl LauberhornSim {
                 }
             }
             DispatchKind::Retire => {
-                trace_ev!(self.trace, now, "os.retire", "core {core} reallocated");
                 self.coh.drop_line(CacheId(core), addr);
                 let ret = self.enter_kernel_loop(core, now, None);
                 self.common
@@ -731,12 +683,6 @@ impl LauberhornSim {
                 }
                 if self.ctx(core).mode == LoopMode::Kernel {
                     // Figure 5 kernel path: switch into the process.
-                    trace_ev!(
-                        self.trace,
-                        now,
-                        "os.dispatch",
-                        "request {request_id} via kernel loop on core {core}"
-                    );
                     t = self.enter_user_loop(core, service, t);
                     sw += self.cost.sched_pick + self.cost.full_context_switch();
                     self.common.tracer.span(
@@ -748,12 +694,6 @@ impl LauberhornSim {
                         t,
                     );
                 } else {
-                    trace_ev!(
-                        self.trace,
-                        now,
-                        "nic.fastpath",
-                        "request {request_id} into parked core {core}"
-                    );
                     // User fast path: consume the dispatch form.
                     t = self.charge(core, t, self.cost.dispatch_form_consume, Some(request_id));
                     sw += self.cost.dispatch_form_consume;
@@ -965,12 +905,6 @@ impl LauberhornSim {
             }
             return;
         }
-        trace_ev!(
-            self.trace,
-            now,
-            "fault.crash",
-            "process for service {service} crashed on cores {victims:?}"
-        );
         // Tear the dead process's endpoints out of the demux table
         // first, so no new request is routed to it while the recovery
         // events are in flight.
@@ -989,13 +923,6 @@ impl LauberhornSim {
             salvaged.extend(self.nic.drain_endpoint_queue(ep));
         }
         for (line, ctx) in salvaged {
-            trace_ev!(
-                self.trace,
-                now,
-                "fault.crash",
-                "request {} requeued to kernel endpoint",
-                ctx.request_id
-            );
             let actions = self.nic.redeliver_to_kernel(now, line, ctx);
             self.apply_actions(actions, now);
         }
@@ -1031,7 +958,7 @@ impl LauberhornSim {
     // ---- NIC failure domain: injection, watchdog, degraded mode ----
 
     /// The armed NIC-internal fault strikes.
-    fn on_nic_fault(&mut self, now: SimTime) {
+    fn on_nic_fault(&mut self) {
         let Some(spec) = self.nic_fault else {
             return;
         };
@@ -1042,31 +969,13 @@ impl LauberhornSim {
             .map_or(0, |r| r.gen_range(0..4096));
         match spec.kind {
             NicFaultKind::TableCorrupt => {
-                let sid = self.nic.inject_table_fault(nth);
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "SEU: demux entry for service {sid:?} fails ECC"
-                );
+                self.nic.inject_table_fault(nth);
             }
             NicFaultKind::StuckControlLine => {
-                let ep = self.nic.inject_stuck_line(nth);
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "CONTROL line engine of endpoint {ep:?} wedged"
-                );
+                self.nic.inject_stuck_line(nth);
             }
             NicFaultKind::MirrorDesync => {
                 self.nic.inject_mirror_desync();
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "scheduler mirror lost the kernel's pushes"
-                );
             }
             NicFaultKind::Reset => {
                 // The protocol engines die. Fabric-addressable SRAM
@@ -1074,12 +983,6 @@ impl LauberhornSim {
                 // out; the MAC asserts link-level flow control, so
                 // arriving frames wait instead of dropping.
                 self.nic_down = true;
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "NIC protocol engines down; link paused"
-                );
             }
         }
     }
@@ -1169,12 +1072,6 @@ impl LauberhornSim {
     /// what they black-holed onto the kernel path), re-push scheduler
     /// ground truth after a mirror desync.
     fn repair(&mut self, health: NicHealth, now: SimTime) {
-        trace_ev!(
-            self.trace,
-            now,
-            "os.watchdog",
-            "probe unhealthy ({health:?}): targeted repair"
-        );
         for sid in health.corrupted_services.clone() {
             self.reprogram_service(sid);
         }
@@ -1204,12 +1101,6 @@ impl LauberhornSim {
     /// fall back to the kernel loop instead of spinning on a dead
     /// device), clear the device, and schedule reconstruction.
     fn begin_reset_recovery(&mut self, now: SimTime) {
-        trace_ev!(
-            self.trace,
-            now,
-            "os.watchdog",
-            "lease expired: controlled NIC reset, reconstructing from shadow"
-        );
         let salvage = self.nic.reset();
         self.recovery.lost_continuations += salvage.lost_continuations as u64;
         let line_size = self.coh.line_size();
@@ -1277,12 +1168,6 @@ impl LauberhornSim {
         if let Some(wd) = self.watchdog.as_mut() {
             wd.restored(now);
         }
-        trace_ev!(
-            self.trace,
-            now,
-            "os.watchdog",
-            "NIC reconstructed from shadow; degraded mode ends"
-        );
         // 5. Requeue salvaged in-flight requests on the kernel path
         // (PR 2's crash-recovery requeue, generalized to a whole-NIC
         // loss).
@@ -1350,11 +1235,6 @@ impl ServerStack for LauberhornSim {
         self.fault_tolerant = workload.faults.enabled();
         self.crashed.clear();
         self.park_spans = vec![SpanId::NONE; self.cfg.cores];
-        // The observability spec can switch on the narrative trace too
-        // (a manual `enable_trace` is left alone when the spec is off).
-        if workload.observe.trace_cap > 0 {
-            self.trace = Trace::enabled(workload.observe.trace_cap);
-        }
         // NIC-driven overload control: bound the queues, arm deadline
         // shedding and (optionally) fair admission across the tenants.
         if let Some(overload) = &workload.overload {
@@ -1419,23 +1299,10 @@ impl ServerStack for LauberhornSim {
         match ev {
             Ev::FrameAtNic { raw, request_id } => {
                 self.common.note_arrival(request_id, now);
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "nic.rx",
-                    "request {request_id} ({} B frame)",
-                    raw.len()
-                );
                 // The NIC's line-rate parser checks the real IPv4/UDP
                 // checksums: a corrupted frame dies here, before any
                 // endpoint state is touched.
                 if lauberhorn_packet::parse_udp_frame_ref(&raw).is_err() {
-                    trace_ev!(
-                        self.trace,
-                        now,
-                        "fault.wire",
-                        "request {request_id} failed checksum at NIC"
-                    );
                     self.common.reject_corrupt(request_id, now);
                     return;
                 }
@@ -1518,7 +1385,7 @@ impl ServerStack for LauberhornSim {
                 self.on_crash(service, tries, now);
             }
             Ev::NicFault => {
-                self.on_nic_fault(now);
+                self.on_nic_fault();
             }
             Ev::Heartbeat => {
                 self.on_heartbeat(now);

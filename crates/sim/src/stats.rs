@@ -225,34 +225,6 @@ impl Summary {
     }
 }
 
-/// Windowed mean for load tracking (exponentially weighted).
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        debug_assert!(alpha > 0.0 && alpha <= 1.0);
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        });
-    }
-
-    /// Current smoothed value (0 before any observation).
-    pub fn value(&self) -> f64 {
-        self.value.unwrap_or(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,16 +307,6 @@ mod tests {
         assert!(s.p50 >= 990 && s.p50 <= 1_010, "p50={}", s.p50);
         assert!(s.max == 1_000_000);
         assert!(s.p999 > 900_000, "p999={}", s.p999);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), 0.0);
-        for _ in 0..32 {
-            e.observe(10.0);
-        }
-        assert!((e.value() - 10.0).abs() < 1e-6);
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn main() {
         base,
         base + (1 << 20),
     );
-    let mut nic = LauberhornNic::new(nic_cfg, 1, 1_000_000.0);
+    let mut nic = LauberhornNic::new(nic_cfg, 1);
     nic.demux_mut().register_service(1, ProcessId(1));
     nic.demux_mut()
         .register_method(1, 0xC0DE, 0xDA7A, Signature::of(&[ArgType::Bytes]))

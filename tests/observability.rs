@@ -1,9 +1,10 @@
 //! Tier-1 observability guarantees (DESIGN.md §11).
 //!
-//! 1. **Zero perturbation**: enabling span tracing and the narrative
-//!    trace must not change a single bit of any report — the tracer
-//!    never touches the event queue, the RNG, or simulated time, and
-//!    metrics come from counters the components maintain anyway. The
+//! 1. **Zero perturbation**: enabling span tracing must not change a
+//!    single bit of any report — the tracer never touches the event
+//!    queue, the RNG, or simulated time, and metrics come from
+//!    counters the components maintain anyway (spans and metrics are
+//!    the only observability paths). The
 //!    check is `Report::digest()` equality, which folds in every
 //!    numeric field, every latency summary, and every metrics entry.
 //! 2. **Span balance**: every recorded span closes, parents are

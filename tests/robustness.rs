@@ -14,11 +14,7 @@ use lauberhorn::packet::marshal::{ArgType, Signature};
 use lauberhorn::sim::{SimRng, SimTime};
 
 fn lb_nic() -> LauberhornNic {
-    let mut n = LauberhornNic::new(
-        LauberhornNicConfig::enzian(EndpointAddr::host(1, 9000)),
-        2,
-        1_000_000.0,
-    );
+    let mut n = LauberhornNic::new(LauberhornNicConfig::enzian(EndpointAddr::host(1, 9000)), 2);
     n.demux_mut().register_service(1, ProcessId(1));
     n.demux_mut()
         .register_method(1, 0x1000, 0x2000, Signature::of(&[ArgType::Bytes]))
