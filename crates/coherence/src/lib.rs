@@ -9,7 +9,8 @@
 //!
 //! This crate models that substrate at transaction level:
 //!
-//! * [`mod@line`] — line addresses and MESI states.
+//! * [`mod@line`] — line addresses, fixed-capacity line contents
+//!   ([`Line`]) and MESI states.
 //! * [`fabric`] — latency models for ECI, CXL 3.0, PCIe-era MMIO and the
 //!   on-chip fabric, calibrated from published measurements.
 //! * [`cache`] — a set-associative cache with LRU replacement, used for
@@ -35,6 +36,6 @@ pub mod stats;
 pub mod system;
 
 pub use fabric::{FabricKind, FabricModel};
-pub use line::{CacheId, LineAddr, LineState};
+pub use line::{CacheId, Line, LineAddr, LineState, MAX_LINE_SIZE};
 pub use stats::CoherenceStats;
 pub use system::{CoherentSystem, FillToken, LoadResult, StoreResult};

@@ -24,7 +24,7 @@ use std::collections::{BTreeSet, HashMap};
 use lauberhorn_sim::SimDuration;
 
 use crate::fabric::FabricModel;
-use crate::line::{CacheId, LineAddr, LineState};
+use crate::line::{CacheId, Line, LineAddr, LineState, MAX_LINE_SIZE};
 use crate::stats::CoherenceStats;
 
 /// Token identifying a parked (deferred) device fill.
@@ -39,7 +39,7 @@ pub enum LoadResult {
         /// Access latency.
         latency: SimDuration,
         /// Line contents.
-        data: Vec<u8>,
+        data: Line,
     },
     /// The line was filled from a home agent.
     Fill {
@@ -47,7 +47,7 @@ pub enum LoadResult {
         /// copy had to be fetched from another cache).
         latency: SimDuration,
         /// Line contents.
-        data: Vec<u8>,
+        data: Line,
     },
     /// The line is device-homed: the request has been parked at the
     /// device, which will answer via [`CoherentSystem::complete_fill`].
@@ -125,12 +125,12 @@ impl std::fmt::Display for CoherenceError {
 
 impl std::error::Error for CoherenceError {}
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DirEntry {
     owner: Option<CacheId>,
     dirty: bool,
     sharers: BTreeSet<CacheId>,
-    data: Vec<u8>,
+    data: Line,
 }
 
 #[derive(Debug)]
@@ -189,7 +189,8 @@ impl CoherentSystem {
     /// `[device_base, device_limit)`; everything else is DRAM-homed over
     /// `host_fabric`. Line size is taken from the device fabric (ECI:
     /// 128 B, CXL: 64 B) and used for both homes, matching Enzian where
-    /// the CPU's line size equals ECI's.
+    /// the CPU's line size equals ECI's, and must not exceed
+    /// [`MAX_LINE_SIZE`].
     pub fn new(
         num_caches: usize,
         host_fabric: FabricModel,
@@ -199,6 +200,8 @@ impl CoherentSystem {
     ) -> Self {
         // lint:allow(panic-path): construction-time address-map validation
         assert!(device_base < device_limit);
+        // lint:allow(panic-path): construction-time fabric validation
+        assert!(device_fabric.line_size <= MAX_LINE_SIZE);
         CoherentSystem {
             line_size: device_fabric.line_size,
             num_caches,
@@ -247,8 +250,10 @@ impl CoherentSystem {
     fn entry(&mut self, addr: LineAddr) -> &mut DirEntry {
         let line_size = self.line_size;
         self.dirs.entry(addr).or_insert_with(|| DirEntry {
-            data: vec![0; line_size],
-            ..Default::default()
+            owner: None,
+            dirty: false,
+            sharers: BTreeSet::new(),
+            data: Line::zeroed(line_size),
         })
     }
 
@@ -282,7 +287,7 @@ impl CoherentSystem {
             let e = self.entry(addr);
             return Ok(LoadResult::Hit {
                 latency: l1,
-                data: e.data.clone(),
+                data: e.data,
             });
         }
         if self.is_device_line(addr) {
@@ -323,7 +328,7 @@ impl CoherentSystem {
             } else {
                 e.sharers.insert(cache);
             }
-            data = e.data.clone();
+            data = e.data;
         }
         if recalled {
             self.stats.recalls += 1;
@@ -502,13 +507,14 @@ impl CoherentSystem {
     /// before transmitting it).
     ///
     /// Returns the line data and the round-trip latency.
-    pub fn device_fetch_exclusive(&mut self, addr: LineAddr) -> (Vec<u8>, SimDuration) {
+    pub fn device_fetch_exclusive(&mut self, addr: LineAddr) -> (Line, SimDuration) {
         let device_fabric = self.device_fabric;
         let e = self.entry(addr);
         let had_copy = e.owner.is_some() || !e.sharers.is_empty();
         e.owner = None;
         e.dirty = false;
         e.sharers.clear();
+        let data = e.data;
         self.stats.device_fetch_excl += 1;
         let latency = if had_copy {
             // Invalidate+recall round trip to the owning core.
@@ -517,11 +523,6 @@ impl CoherentSystem {
             // Nothing cached: local to the device.
             SimDuration::from_ns(5)
         };
-        let data = self
-            .dirs
-            .get(&addr)
-            .map(|e| e.data.clone())
-            .unwrap_or_default();
         (data, latency)
     }
 
@@ -565,8 +566,8 @@ impl CoherentSystem {
     }
 
     /// Direct device read of the canonical copy (DMA read).
-    pub fn dma_read(&mut self, addr: LineAddr) -> Vec<u8> {
-        self.entry(addr).data.clone()
+    pub fn dma_read(&mut self, addr: LineAddr) -> Line {
+        self.entry(addr).data
     }
 }
 

@@ -117,7 +117,8 @@ pub fn run() -> Timeline {
             what: format!("load CONTROL[{line}] — stalls"),
         });
         let seen = now + request_arrival;
-        let actions = nic.on_core_load(seen, 0, token, addr);
+        let mut actions = Vec::new();
+        nic.on_core_load(seen, 0, token, addr, &mut actions);
         (actions, seen)
     };
 
@@ -137,7 +138,8 @@ pub fn run() -> Timeline {
     // --- 2. Request A arrives; NIC answers the parked fill. ---
     now += SimDuration::from_us(2);
     log(&mut tl, now, "net", "request A (64 B) arrives".into());
-    let actions = nic.on_request_frame(now, &request_frame(0xA, &[0xAA; 64]));
+    let mut actions = Vec::new();
+    nic.on_request_frame(now, &request_frame(0xA, &[0xAA; 64]), &mut actions);
     let deliver = |coh: &mut CoherentSystem, tl: &mut Timeline, actions: Vec<NicAction>| {
         let mut t_done = SimTime::ZERO;
         for a in actions {
@@ -201,7 +203,8 @@ pub fn run() -> Timeline {
     );
 
     // --- 4. Request B already in flight, queued at the NIC. ---
-    let actions = nic.on_request_frame(now, &request_frame(0xB, &[0xBB; 64]));
+    let mut actions = Vec::new();
+    nic.on_request_frame(now, &request_frame(0xB, &[0xBB; 64]), &mut actions);
     assert!(actions.is_empty(), "B queues silently: {actions:?}");
     log(
         &mut tl,
@@ -246,7 +249,8 @@ pub fn run() -> Timeline {
         deadline.since(now),
         lauberhorn_nic::endpoint::TRYAGAIN_TIMEOUT
     );
-    let actions = nic.on_timeout(deadline, endpoint, generation);
+    let mut actions = Vec::new();
+    nic.on_timeout(deadline, endpoint, generation, &mut actions);
     now = deliver(&mut coh, &mut tl, actions).max(deadline);
     log(
         &mut tl,
@@ -259,7 +263,8 @@ pub fn run() -> Timeline {
     let (actions, seen) = park(&mut coh, &mut nic, &mut tl, now, 0);
     now = seen;
     deliver(&mut coh, &mut tl, actions);
-    let actions = nic.retire_endpoint(now, ep);
+    let mut actions = Vec::new();
+    nic.retire_endpoint(now, ep, &mut actions);
     deliver(&mut coh, &mut tl, actions);
     log(
         &mut tl,

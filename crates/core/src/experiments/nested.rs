@@ -108,7 +108,9 @@ pub fn run() -> NestedRun {
             unreachable!("device line defers")
         };
         let seen = now + request_arrival;
-        (nic.on_core_load(seen, core, token, addr), seen)
+        let mut actions = Vec::new();
+        nic.on_core_load(seen, core, token, addr, &mut actions);
+        (actions, seen)
     };
     // Extracts the fill a batch delivered (completing it in coherence)
     // and returns (decoded line, landing time); collects are returned too.
@@ -144,7 +146,12 @@ pub fn run() -> NestedRun {
 
     // --- The original request for A arrives. ---
     let arrival = t0 + SimDuration::from_us(2);
-    let actions = nic.on_request_frame(arrival, &request_frame(client_addr, nic_addr, 1, 0xA11, 0));
+    let mut actions = Vec::new();
+    nic.on_request_frame(
+        arrival,
+        &request_frame(client_addr, nic_addr, 1, 0xA11, 0),
+        &mut actions,
+    );
     let (fill, _) = deliver(&mut coh, actions);
     let (line, a_start) = fill.expect("A delivered");
     assert_eq!(line.request_id, 0xA11);
@@ -163,7 +170,8 @@ pub fn run() -> NestedRun {
     // The nested request loops back through the NIC (self-addressed).
     let nested = request_frame(nic_addr, nic_addr, 2, 0xB22, hint);
     let t_nested_sent = t_cont + SimDuration::from_ns(200); // Marshal + doorbell-free tx.
-    let actions = nic.on_request_frame(t_nested_sent + wire, &nested);
+    let mut actions = Vec::new();
+    nic.on_request_frame(t_nested_sent + wire, &nested, &mut actions);
     let (fill, _) = deliver(&mut coh, actions);
     let (bline, b_start) = fill.expect("B delivered");
     assert_eq!(bline.request_id, 0xB22);
@@ -192,10 +200,11 @@ pub fn run() -> NestedRun {
         "B's response collected; routed via continuation".into(),
     ));
     // The reply frame (self-addressed) re-enters the NIC.
-    let reply = nic
-        .build_response_frame(bctx, b"B-result")
+    let mut reply = Vec::new();
+    nic.build_response_frame(bctx, b"B-result", &mut reply)
         .expect("response fits a UDP frame");
-    let actions = nic.on_request_frame(*b_tx + wire, &reply);
+    let mut actions = Vec::new();
+    nic.on_request_frame(*b_tx + wire, &reply, &mut actions);
     let (fill, _) = deliver(&mut coh, actions);
     let (rline, a_resume) = fill.expect("reply dispatched into A's continuation load");
     assert_eq!(rline.request_id, 0xB22);

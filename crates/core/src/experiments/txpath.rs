@@ -87,7 +87,13 @@ pub fn run() -> TxPathRun {
     else {
         unreachable!("device line defers")
     };
-    snic.on_core_load(SimTime::ZERO + request_arrival, 0, stoken, slayout.ctrl(0));
+    snic.on_core_load(
+        SimTime::ZERO + request_arrival,
+        0,
+        stoken,
+        slayout.ctrl(0),
+        &mut Vec::new(),
+    );
     timeline.push((
         SimTime::ZERO,
         "server",
@@ -182,7 +188,8 @@ pub fn run() -> TxPathRun {
     )
     .expect("builds");
     let t_arrive = t_sent + wire;
-    let actions = snic.on_request_frame(t_arrive, &frame);
+    let mut actions = Vec::new();
+    snic.on_request_frame(t_arrive, &frame, &mut actions);
     let mut t_deliver = t_arrive;
     for a in actions {
         if let NicAction::CompleteFill { token, data, at } = a {
@@ -209,7 +216,14 @@ pub fn run() -> TxPathRun {
     else {
         unreachable!("device line defers")
     };
-    let actions = snic.on_core_load(t_done + request_arrival, 0, t2, slayout.ctrl(1));
+    let mut actions = Vec::new();
+    snic.on_core_load(
+        t_done + request_arrival,
+        0,
+        t2,
+        slayout.ctrl(1),
+        &mut actions,
+    );
     let mut t_resp_tx = t_done;
     for a in actions {
         if let NicAction::CollectAndTransmit { line, ctx, at } = a {

@@ -12,8 +12,12 @@
 //!
 //! Arguments beyond the inline capacity continue in AUX lines; payloads
 //! past the DMA threshold arrive via the fallback path and the line
-//! carries a buffer descriptor instead.
+//! carries a buffer descriptor instead. The NIC prepares only the
+//! CONTROL line ([`DispatchLine::control_line`]) when it delivers a
+//! request; AUX\[j\] is sliced from the argument bytes when a core
+//! loads it ([`aux_line`]).
 
+use lauberhorn_coherence::{Line, MAX_LINE_SIZE};
 use lauberhorn_packet::{PacketError, Result};
 
 use crate::bytes;
@@ -165,12 +169,9 @@ impl DispatchLine {
             .div_ceil(line_size)
     }
 
-    /// Encodes into the first CONTROL line plus AUX lines of
-    /// `line_size` bytes each.
-    ///
-    /// Returns `(control_line, aux_lines)`.
-    pub fn encode(&self, line_size: usize) -> Result<(Vec<u8>, Vec<Vec<u8>>)> {
-        let inline_cap = Self::inline_capacity(line_size);
+    /// The CONTROL line of `line_size` bytes: the header plus the
+    /// arguments that fit inline (the rest are [`aux_line`]s).
+    pub fn control_line(&self, line_size: usize) -> Result<Line> {
         let n_aux = Self::aux_lines_needed(self.args.len(), line_size);
         if n_aux > u8::MAX as usize {
             return Err(PacketError::BadField {
@@ -191,7 +192,13 @@ impl DispatchLine {
                 have: line_size,
             });
         }
-        let mut ctrl = vec![0u8; line_size];
+        if line_size > MAX_LINE_SIZE {
+            return Err(PacketError::BadField {
+                layer: "dispatch",
+                field: "line_size",
+            });
+        }
+        let mut ctrl = Line::zeroed(line_size);
         bytes::put(&mut ctrl, 0, &self.code_ptr.to_le_bytes());
         bytes::put(&mut ctrl, 8, &self.data_ptr.to_le_bytes());
         bytes::put(&mut ctrl, 16, &self.request_id.to_le_bytes());
@@ -200,23 +207,26 @@ impl DispatchLine {
         bytes::set(&mut ctrl, 28, self.kind.to_u8());
         bytes::set(&mut ctrl, 29, n_aux as u8);
         bytes::put(&mut ctrl, 30, &(self.args.len() as u16).to_be_bytes());
-        let inline = self.args.len().min(inline_cap);
+        let inline = self.args.len().min(Self::inline_capacity(line_size));
         bytes::put(
             &mut ctrl,
             DISPATCH_HEADER_LEN,
             bytes::slice(&self.args, 0, inline),
         );
-        let mut aux = Vec::with_capacity(n_aux);
-        let mut off = inline;
-        while off < self.args.len() {
-            let take = (self.args.len() - off).min(line_size);
-            let mut line = vec![0u8; line_size];
-            bytes::put(&mut line, 0, bytes::slice(&self.args, off, take));
-            aux.push(line);
-            off += take;
-        }
-        debug_assert_eq!(aux.len(), n_aux);
-        Ok((ctrl, aux))
+        Ok(ctrl)
+    }
+
+    /// Encodes into the CONTROL line plus every AUX line, as owned
+    /// buffers of `line_size` bytes each (for inspection; the NIC
+    /// itself never materializes the AUX lines).
+    ///
+    /// Returns `(control_line, aux_lines)`.
+    pub fn encode(&self, line_size: usize) -> Result<(Vec<u8>, Vec<Vec<u8>>)> {
+        let ctrl = self.control_line(line_size)?;
+        let aux = (0..Self::aux_lines_needed(self.args.len(), line_size))
+            .map(|j| aux_line(&self.args, j, line_size).to_vec())
+            .collect();
+        Ok((ctrl.to_vec(), aux))
     }
 
     /// Decodes from a CONTROL line and its AUX lines.
@@ -273,6 +283,20 @@ impl DispatchLine {
             args,
         })
     }
+}
+
+/// AUX\[j\] of a request whose dispatch-form arguments are `args`:
+/// the `line_size` argument bytes starting at
+/// `inline_capacity + j·line_size`, zero-padded — an all-zero line for
+/// `j` at or past the request's AUX count.
+pub fn aux_line(args: &[u8], j: usize, line_size: usize) -> Line {
+    let start = j
+        .saturating_mul(line_size)
+        .saturating_add(DispatchLine::inline_capacity(line_size));
+    Line::padded(
+        bytes::slice(args, start, args.len().saturating_sub(start)),
+        line_size,
+    )
 }
 
 #[cfg(test)]

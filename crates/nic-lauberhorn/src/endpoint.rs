@@ -19,18 +19,19 @@
 //! 6. RETIRE tells a waiting thread to return to the scheduler (§5.2).
 //!
 //! The state machine here is *pure*: it consumes events and emits
-//! [`Effect`]s; the composed NIC (`crate::nic`) turns effects into
-//! coherence operations and timer arms. This purity is what lets the
-//! `lauberhorn-mc` crate model-check the same logic.
+//! [`Effect`]s into a buffer the caller owns (and reuses, so a
+//! transition never allocates); the composed NIC (`crate::nic`) turns
+//! effects into coherence operations and timer arms. This purity is
+//! what lets the `lauberhorn-mc` crate model-check the same logic.
 
 use std::collections::VecDeque;
 
-use lauberhorn_coherence::{FillToken, LineAddr};
+use lauberhorn_coherence::{FillToken, Line, LineAddr};
 use lauberhorn_os::ProcessId;
 use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_sim::{SimDuration, SimTime};
 
-use crate::dispatch::{DispatchKind, DispatchLine};
+use crate::dispatch::{self, DispatchKind, DispatchLine};
 
 /// The TRYAGAIN window: the paper returns dummies "after 15 ms" to stay
 /// inside the coherence protocol's timeout.
@@ -41,7 +42,7 @@ pub const TRYAGAIN_TIMEOUT: SimDuration = SimDuration::from_ms(15);
 pub struct EndpointId(pub u32);
 
 /// Everything needed to route a response back to the caller.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestCtx {
     /// Request id echoed into the response.
     pub request_id: u64,
@@ -62,8 +63,8 @@ pub enum Effect {
     Respond {
         /// The parked fill.
         token: FillToken,
-        /// Line contents (a [`DispatchLine`] encoding, or AUX bytes).
-        data: Vec<u8>,
+        /// Line contents (a [`DispatchLine`] CONTROL line, or AUX bytes).
+        data: Line,
     },
     /// Arm the TRYAGAIN timer; fire [`Endpoint::on_timeout`] with this
     /// generation at `deadline` (stale generations are ignored).
@@ -94,16 +95,17 @@ pub enum Effect {
 /// Outcome of offering a request to the endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestOutcome {
-    /// A parked load consumed it immediately (the fast path).
-    DeliveredToParked(Vec<Effect>),
+    /// A parked load consumed it immediately (the fast path); the
+    /// answer is in the effect buffer.
+    DeliveredToParked,
     /// Queued at the endpoint; depth after queueing.
     Queued {
         /// Resulting queue depth.
         depth: usize,
     },
-    /// The endpoint queue is full; the NIC must fall back (kernel
-    /// delivery or drop).
-    Rejected,
+    /// The endpoint queue is full; the request comes back so the NIC
+    /// can fall back (another endpoint, kernel delivery, or drop).
+    Rejected(DispatchLine, RequestCtx),
 }
 
 /// Endpoint statistics.
@@ -211,8 +213,10 @@ pub struct Endpoint {
     queue: VecDeque<QueuedRequest>,
     /// Max ready-queue length before rejecting.
     queue_cap: usize,
-    /// AUX data for the currently delivered request.
-    aux_data: Vec<Vec<u8>>,
+    /// Dispatch-form arguments of the request in service: AUX loads
+    /// are answered by slicing them ([`dispatch::aux_line`]). Released
+    /// when its response is collected.
+    args: Vec<u8>,
     /// Deliver RETIRE at the next opportunity.
     retire_pending: bool,
     /// TRYAGAIN window for this endpoint (the paper: 15 ms).
@@ -258,7 +262,7 @@ impl Endpoint {
             outstanding: None,
             queue: VecDeque::new(),
             queue_cap,
-            aux_data: Vec::new(),
+            args: Vec::new(),
             retire_pending: false,
             timeout,
             deadline: None,
@@ -321,33 +325,45 @@ impl Endpoint {
         self.expect
     }
 
-    fn deliver(&mut self, token: FillToken, req: QueuedRequest) -> Vec<Effect> {
-        let line_size = self.layout.line_size;
-        // Encode only fails on a degenerate layout (line smaller than the
-        // header), which endpoint construction rules out; delivering an
-        // empty line keeps the hot path panic-free regardless.
-        let (ctrl, aux) = req.line.encode(line_size).unwrap_or_default();
-        self.aux_data = aux;
+    fn deliver(&mut self, token: FillToken, req: QueuedRequest, out: &mut Vec<Effect>) {
+        // Encoding only fails on a degenerate layout (line smaller than
+        // the header) or an oversized argument list, which endpoint
+        // construction and the NIC's size checks rule out; delivering an
+        // empty line (and no AUX data) keeps the hot path panic-free
+        // regardless.
+        let ctrl = match req.line.control_line(self.layout.line_size) {
+            Ok(ctrl) => {
+                self.args = req.line.args;
+                ctrl
+            }
+            Err(_) => {
+                self.args = Vec::new();
+                Line::default()
+            }
+        };
         // The response for this request will appear in the line we are
         // delivering on, and will be collected when the *other* line is
         // next loaded.
         self.outstanding = Some((self.expect, req.ctx));
         self.expect = 1 - self.expect;
-        vec![Effect::Respond { token, data: ctrl }]
+        out.push(Effect::Respond { token, data: ctrl });
     }
 
-    /// A core's load on `role` was parked with `token` at time `now`.
-    pub fn on_load(&mut self, role: LineRole, token: FillToken, now: SimTime) -> Vec<Effect> {
+    /// A core's load on `role` was parked with `token` at time `now`;
+    /// the resulting effects are appended to `out`.
+    pub fn on_load(
+        &mut self,
+        role: LineRole,
+        token: FillToken,
+        now: SimTime,
+        out: &mut Vec<Effect>,
+    ) {
         match role {
             LineRole::Aux(j) => {
                 // AUX fills are always answerable immediately: the data
-                // was staged when the request was delivered.
-                let data = self
-                    .aux_data
-                    .get(j)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0; self.layout.line_size]);
-                vec![Effect::Respond { token, data }]
+                // are the delivered request's arguments.
+                let data = dispatch::aux_line(&self.args, j, self.layout.line_size);
+                out.push(Effect::Respond { token, data });
             }
             LineRole::Control(i) => {
                 if self.stuck {
@@ -356,15 +372,15 @@ impl Endpoint {
                     // timer. The watchdog's repair path answers it.
                     self.generation += 1;
                     self.parked = Some((token, i, self.generation));
-                    return Vec::new();
+                    return;
                 }
-                let mut effects = Vec::new();
                 // Loading a CONTROL line signals the previous request (on
                 // the other line) is complete: collect its response.
                 if let Some((line_idx, ctx)) = self.outstanding.take() {
                     if line_idx != i {
                         self.stats.responses += 1;
-                        effects.push(Effect::CollectResponse {
+                        self.args = Vec::new();
+                        out.push(Effect::CollectResponse {
                             line: self.layout.ctrl(line_idx),
                             ctx,
                         });
@@ -378,11 +394,9 @@ impl Endpoint {
                 if self.retire_pending {
                     self.retire_pending = false;
                     self.stats.retires += 1;
-                    let (ctrl, _) = DispatchLine::retire_with_hint(self.hint())
-                        .encode(self.layout.line_size)
-                        .unwrap_or_default();
-                    effects.push(Effect::Respond { token, data: ctrl });
-                    return effects;
+                    let data = self.signal_line(DispatchLine::retire_with_hint(self.hint()));
+                    out.push(Effect::Respond { token, data });
+                    return;
                 }
                 // Deadline-aware shedding: a queued request already past
                 // its budget is abandoned by the client anyway, so
@@ -395,61 +409,73 @@ impl Endpoint {
                     {
                         if let Some(stale) = self.queue.pop_front() {
                             self.stats.shed_stale += 1;
-                            effects.push(Effect::ShedStale { ctx: stale.ctx });
+                            out.push(Effect::ShedStale { ctx: stale.ctx });
                         }
                     }
                 }
                 if let Some(req) = self.queue.pop_front() {
                     self.stats.delivered_queued += 1;
-                    effects.extend(self.deliver(token, req));
-                    return effects;
+                    self.deliver(token, req, out);
+                    return;
                 }
                 // Nothing ready: park and arm the TRYAGAIN timer.
                 self.generation += 1;
                 self.parked = Some((token, i, self.generation));
-                effects.push(Effect::ArmTimeout {
+                out.push(Effect::ArmTimeout {
                     generation: self.generation,
                     deadline: now + self.timeout,
                 });
-                effects
             }
         }
     }
 
-    /// A deserialized request arrives for this endpoint at `now`.
+    /// A TRYAGAIN or RETIRE CONTROL line for this endpoint's layout
+    /// (empty on a degenerate layout, as in [`Endpoint::deliver`]).
+    fn signal_line(&self, line: DispatchLine) -> Line {
+        line.control_line(self.layout.line_size).unwrap_or_default()
+    }
+
+    /// A deserialized request arrives for this endpoint at `now`. A
+    /// delivery's effects are appended to `out`.
     pub fn on_request(
         &mut self,
         line: DispatchLine,
         ctx: RequestCtx,
         now: SimTime,
+        out: &mut Vec<Effect>,
     ) -> RequestOutcome {
         debug_assert!(
             matches!(line.kind, DispatchKind::Rpc | DispatchKind::DmaDescriptor),
             "only dispatchable kinds may be offered"
         );
-        let req = QueuedRequest {
-            line,
-            ctx,
-            enqueued: now,
-        };
         if self.stuck {
             // Wedged engine: the parked fill (if any) cannot be
             // answered, so the request can only queue.
             if self.queue.len() >= self.queue_cap {
-                return RequestOutcome::Rejected;
+                return RequestOutcome::Rejected(line, ctx);
             }
-            self.queue.push_back(req);
+            self.queue.push_back(QueuedRequest {
+                line,
+                ctx,
+                enqueued: now,
+            });
             self.stats.max_queue = self.stats.max_queue.max(self.queue.len());
             return RequestOutcome::Queued {
                 depth: self.queue.len(),
             };
         }
+        let req = QueuedRequest {
+            line,
+            ctx,
+            enqueued: now,
+        };
         if let Some((token, _i, _gen)) = self.parked.take() {
             self.stats.delivered_parked += 1;
-            return RequestOutcome::DeliveredToParked(self.deliver(token, req));
+            self.deliver(token, req, out);
+            return RequestOutcome::DeliveredToParked;
         }
         if self.queue.len() >= self.queue_cap {
-            return RequestOutcome::Rejected;
+            return RequestOutcome::Rejected(req.line, req.ctx);
         }
         self.queue.push_back(req);
         self.stats.max_queue = self.stats.max_queue.max(self.queue.len());
@@ -458,24 +484,23 @@ impl Endpoint {
         }
     }
 
-    /// The TRYAGAIN timer for `generation` fired.
-    pub fn on_timeout(&mut self, generation: u64) -> Vec<Effect> {
+    /// The TRYAGAIN timer for `generation` fired; the resulting
+    /// effects are appended to `out`.
+    pub fn on_timeout(&mut self, generation: u64, out: &mut Vec<Effect>) {
         if self.stuck {
             // The timer engine is part of the wedged line engine: the
             // TRYAGAIN never goes out, which is precisely what lets a
             // lease watchdog notice the line "never transitions".
-            return Vec::new();
+            return;
         }
         match self.parked {
             Some((token, _i, gen)) if gen == generation => {
                 self.parked = None;
                 self.stats.tryagains += 1;
-                let (ctrl, _) = DispatchLine::try_again_with_hint(self.hint())
-                    .encode(self.layout.line_size)
-                    .unwrap_or_default();
-                vec![Effect::Respond { token, data: ctrl }]
+                let data = self.signal_line(DispatchLine::try_again_with_hint(self.hint()));
+                out.push(Effect::Respond { token, data });
             }
-            _ => Vec::new(), // Stale: a request beat the timer.
+            _ => {} // Stale: a request beat the timer.
         }
     }
 
@@ -511,6 +536,7 @@ impl Endpoint {
     pub fn take_outstanding(&mut self) -> Option<(LineAddr, RequestCtx)> {
         let (line_idx, ctx) = self.outstanding.take()?;
         self.stats.responses += 1;
+        self.args = Vec::new();
         Some((self.layout.ctrl(line_idx), ctx))
     }
 
@@ -531,7 +557,7 @@ impl Endpoint {
     /// back into a reconstructed endpoint so it is bisimilar to the
     /// pre-fault one — `(expect parity, generation, outstanding)`.
     pub fn protocol_snapshot(&self) -> (usize, u64, Option<(usize, RequestCtx)>) {
-        (self.expect, self.generation, self.outstanding.clone())
+        (self.expect, self.generation, self.outstanding)
     }
 
     /// Reconstruction: writes back a [`Endpoint::protocol_snapshot`]
@@ -548,25 +574,23 @@ impl Endpoint {
     }
 
     /// The kernel (or the NIC's load logic) retires this endpoint's
-    /// waiter so the core can be reallocated (§5.2).
-    pub fn retire(&mut self) -> Vec<Effect> {
+    /// waiter so the core can be reallocated (§5.2); the resulting
+    /// effects are appended to `out`.
+    pub fn retire(&mut self, out: &mut Vec<Effect>) {
         if self.stuck {
             // The wedged engine cannot deliver RETIRE either; remember
             // the intent for after repair.
             self.retire_pending = true;
-            return Vec::new();
+            return;
         }
         match self.parked.take() {
             Some((token, _i, _gen)) => {
                 self.stats.retires += 1;
-                let (ctrl, _) = DispatchLine::retire_with_hint(self.hint())
-                    .encode(self.layout.line_size)
-                    .unwrap_or_default();
-                vec![Effect::Respond { token, data: ctrl }]
+                let data = self.signal_line(DispatchLine::retire_with_hint(self.hint()));
+                out.push(Effect::Respond { token, data });
             }
             None => {
                 self.retire_pending = true;
-                Vec::new()
             }
         }
     }
@@ -613,6 +637,36 @@ mod tests {
         FillToken(n)
     }
 
+    fn load(e: &mut Endpoint, role: LineRole, token: FillToken, now: SimTime) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        e.on_load(role, token, now, &mut fx);
+        fx
+    }
+
+    /// Offers a request; a delivery's effects come back with the outcome.
+    fn offer(
+        e: &mut Endpoint,
+        line: DispatchLine,
+        ctx: RequestCtx,
+        now: SimTime,
+    ) -> (RequestOutcome, Vec<Effect>) {
+        let mut fx = Vec::new();
+        let outcome = e.on_request(line, ctx, now, &mut fx);
+        (outcome, fx)
+    }
+
+    fn timeout(e: &mut Endpoint, generation: u64) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        e.on_timeout(generation, &mut fx);
+        fx
+    }
+
+    fn retire(e: &mut Endpoint) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        e.retire(&mut fx);
+        fx
+    }
+
     #[test]
     fn layout_addressing() {
         let l = layout();
@@ -632,23 +686,19 @@ mod tests {
     #[test]
     fn park_then_request_fast_path() {
         let mut e = ep();
-        let fx = e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        let fx = load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         assert!(matches!(fx[0], Effect::ArmTimeout { generation: 1, .. }));
         assert!(e.is_parked());
         let (line, ctx) = rpc(7, b"abc");
-        let out = e.on_request(line, ctx, SimTime::ZERO);
-        match out {
-            RequestOutcome::DeliveredToParked(fx) => {
-                let Effect::Respond { token, data } = &fx[0] else {
-                    panic!("expected respond")
-                };
-                assert_eq!(*token, tok(1));
-                let d = DispatchLine::decode(data, &[]).unwrap();
-                assert_eq!(d.request_id, 7);
-                assert_eq!(d.args, b"abc");
-            }
-            other => panic!("{other:?}"),
-        }
+        let (out, fx) = offer(&mut e, line, ctx, SimTime::ZERO);
+        assert_eq!(out, RequestOutcome::DeliveredToParked);
+        let Effect::Respond { token, data } = &fx[0] else {
+            panic!("expected respond")
+        };
+        assert_eq!(*token, tok(1));
+        let d = DispatchLine::decode(data, &[]).unwrap();
+        assert_eq!(d.request_id, 7);
+        assert_eq!(d.args, b"abc");
         assert_eq!(e.expect_line(), 1);
         assert_eq!(e.stats().delivered_parked, 1);
     }
@@ -658,10 +708,10 @@ mod tests {
         let mut e = ep();
         let (line, ctx) = rpc(1, b"x");
         assert_eq!(
-            e.on_request(line, ctx, SimTime::ZERO),
+            offer(&mut e, line, ctx, SimTime::ZERO).0,
             RequestOutcome::Queued { depth: 1 }
         );
-        let fx = e.on_load(LineRole::Control(0), tok(2), SimTime::ZERO);
+        let fx = load(&mut e, LineRole::Control(0), tok(2), SimTime::ZERO);
         assert!(matches!(fx[0], Effect::Respond { .. }));
         assert_eq!(e.stats().delivered_queued, 1);
     }
@@ -670,11 +720,11 @@ mod tests {
     fn response_collected_on_next_load() {
         let mut e = ep();
         // Deliver request on CONTROL[0].
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         let (line, ctx) = rpc(5, b"req");
-        e.on_request(line, ctx, SimTime::ZERO);
+        offer(&mut e, line, ctx, SimTime::ZERO);
         // Core handles it, writes response in CONTROL[0], loads CONTROL[1].
-        let fx = e.on_load(LineRole::Control(1), tok(2), SimTime::from_us(3));
+        let fx = load(&mut e, LineRole::Control(1), tok(2), SimTime::from_us(3));
         let collect = fx
             .iter()
             .find_map(|f| match f {
@@ -690,20 +740,20 @@ mod tests {
     #[test]
     fn pipelined_requests_alternate_lines() {
         let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         let (l1, c1) = rpc(1, b"a");
-        e.on_request(l1, c1, SimTime::ZERO); // Delivered on line 0.
+        offer(&mut e, l1, c1, SimTime::ZERO); // Delivered on line 0.
         let (l2, c2) = rpc(2, b"b");
-        e.on_request(l2, c2, SimTime::ZERO); // Queued.
-                                             // Core finishes req 1, loads line 1: collect resp 1 AND deliver req 2.
-        let fx = e.on_load(LineRole::Control(1), tok(2), SimTime::from_us(1));
+        offer(&mut e, l2, c2, SimTime::ZERO); // Queued.
+                                              // Core finishes req 1, loads line 1: collect resp 1 AND deliver req 2.
+        let fx = load(&mut e, LineRole::Control(1), tok(2), SimTime::from_us(1));
         assert!(fx
             .iter()
             .any(|f| matches!(f, Effect::CollectResponse { .. })));
         assert!(fx.iter().any(|f| matches!(f, Effect::Respond { .. })));
         assert_eq!(e.expect_line(), 0);
         // Core finishes req 2, loads line 0: collect resp 2, park.
-        let fx = e.on_load(LineRole::Control(0), tok(3), SimTime::from_us(2));
+        let fx = load(&mut e, LineRole::Control(0), tok(3), SimTime::from_us(2));
         let collected: Vec<_> = fx
             .iter()
             .filter_map(|f| match f {
@@ -718,16 +768,16 @@ mod tests {
     #[test]
     fn timeout_returns_tryagain_only_when_fresh() {
         let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         // Request arrives before the timer: delivered.
         let (l, c) = rpc(1, b"z");
-        e.on_request(l, c, SimTime::ZERO);
+        offer(&mut e, l, c, SimTime::ZERO);
         // Old timer fires: stale, no effect.
-        assert!(e.on_timeout(1).is_empty());
+        assert!(timeout(&mut e, 1).is_empty());
         assert_eq!(e.stats().tryagains, 0);
         // Core loads line 1 (collect), parks again; this timer is fresh.
-        e.on_load(LineRole::Control(1), tok(2), SimTime::from_us(5));
-        let fx = e.on_timeout(2);
+        load(&mut e, LineRole::Control(1), tok(2), SimTime::from_us(5));
+        let fx = timeout(&mut e, 2);
         let Effect::Respond { data, .. } = &fx[0] else {
             panic!("expected respond")
         };
@@ -742,33 +792,34 @@ mod tests {
     #[test]
     fn tryagain_does_not_flip_parity() {
         let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
-        e.on_timeout(1);
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
+        timeout(&mut e, 1);
         assert_eq!(e.expect_line(), 0);
         // Core re-loads the same line; next request delivered there.
-        e.on_load(LineRole::Control(0), tok(2), SimTime::from_ms(15));
+        load(&mut e, LineRole::Control(0), tok(2), SimTime::from_ms(15));
         let (l, c) = rpc(3, b"c");
-        let out = e.on_request(l, c, SimTime::ZERO);
-        assert!(matches!(out, RequestOutcome::DeliveredToParked(_)));
+        let (out, _) = offer(&mut e, l, c, SimTime::ZERO);
+        assert_eq!(out, RequestOutcome::DeliveredToParked);
         assert_eq!(e.expect_line(), 1);
     }
 
     #[test]
     fn reload_same_line_does_not_collect_own_response() {
         let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         let (l, c) = rpc(1, b"a");
-        e.on_request(l, c, SimTime::ZERO); // Delivered on line 0; outstanding = line 0.
-                                           // TRYAGAIN cannot happen here (not parked), but a buggy or
-                                           // preempted core might re-load line 0. The response in line 0 is
-                                           // NOT ready to collect (the core would be overwriting it).
-        let fx = e.on_load(LineRole::Control(0), tok(2), SimTime::from_us(1));
+        offer(&mut e, l, c, SimTime::ZERO); // Delivered on line 0; outstanding = line 0.
+                                            // TRYAGAIN cannot happen here (not parked), but a buggy or
+                                            // preempted core might re-load line 0. The response in line 0 is
+                                            // NOT ready to collect (the core would be overwriting it).
+        let fx = load(&mut e, LineRole::Control(0), tok(2), SimTime::from_us(1));
         assert!(!fx
             .iter()
             .any(|f| matches!(f, Effect::CollectResponse { .. })));
         // Parked now; when the core later loads line 1, collection happens.
-        e.on_timeout(e.generation); // Unpark via tryagain to keep state sane.
-        let fx = e.on_load(LineRole::Control(1), tok(3), SimTime::from_us(2));
+        let g = e.generation;
+        timeout(&mut e, g); // Unpark via tryagain to keep state sane.
+        let fx = load(&mut e, LineRole::Control(1), tok(3), SimTime::from_us(2));
         assert!(fx
             .iter()
             .any(|f| matches!(f, Effect::CollectResponse { .. })));
@@ -778,9 +829,11 @@ mod tests {
     fn queue_overflow_rejects() {
         let mut e = Endpoint::new(EndpointId(0), ProcessId(1), layout(), 2);
         let (l, c) = rpc(1, b"");
-        e.on_request(l.clone(), c.clone(), SimTime::ZERO);
-        e.on_request(l.clone(), c.clone(), SimTime::ZERO);
-        assert_eq!(e.on_request(l, c, SimTime::ZERO), RequestOutcome::Rejected);
+        offer(&mut e, l.clone(), c, SimTime::ZERO);
+        offer(&mut e, l.clone(), c, SimTime::ZERO);
+        // The refused request comes back to the caller.
+        let (out, _) = offer(&mut e, l.clone(), c, SimTime::ZERO);
+        assert_eq!(out, RequestOutcome::Rejected(l, c));
         assert_eq!(e.queue_depth(), 2);
         assert_eq!(e.stats().max_queue, 2);
     }
@@ -790,12 +843,12 @@ mod tests {
         let mut e = ep();
         e.set_deadline(Some(SimDuration::from_us(100)));
         let (l1, c1) = rpc(1, b"old");
-        e.on_request(l1, c1, SimTime::ZERO);
+        offer(&mut e, l1, c1, SimTime::ZERO);
         let (l2, c2) = rpc(2, b"fresh");
-        e.on_request(l2, c2, SimTime::from_us(150));
+        offer(&mut e, l2, c2, SimTime::from_us(150));
         // The core arrives at 200 µs: request 1 is 200 µs old (past the
         // 100 µs budget) and must be shed; request 2 is delivered.
-        let fx = e.on_load(LineRole::Control(0), tok(1), SimTime::from_us(200));
+        let fx = load(&mut e, LineRole::Control(0), tok(1), SimTime::from_us(200));
         let shed: Vec<u64> = fx
             .iter()
             .filter_map(|f| match f {
@@ -816,9 +869,9 @@ mod tests {
     #[test]
     fn tryagain_carries_queue_occupancy_hint() {
         let mut e = Endpoint::new(EndpointId(0), ProcessId(1), layout(), 4);
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         // Empty queue: TRYAGAIN advertises hint 0.
-        let fx = e.on_timeout(1);
+        let fx = timeout(&mut e, 1);
         let Effect::Respond { data, .. } = &fx[0] else {
             panic!("expected respond")
         };
@@ -827,11 +880,11 @@ mod tests {
         assert_eq!(d.load_hint(), 0);
         // Half-full queue: RETIRE advertises a mid-scale hint.
         let (l, c) = rpc(1, b"");
-        e.on_request(l.clone(), c.clone(), SimTime::ZERO);
-        e.on_request(l, c, SimTime::ZERO);
-        let fx = e.retire();
+        offer(&mut e, l.clone(), c, SimTime::ZERO);
+        offer(&mut e, l, c, SimTime::ZERO);
+        let fx = retire(&mut e);
         assert!(fx.is_empty()); // Not parked: retire pends.
-        let fx = e.on_load(LineRole::Control(0), tok(2), SimTime::from_us(1));
+        let fx = load(&mut e, LineRole::Control(0), tok(2), SimTime::from_us(1));
         let Effect::Respond { data, .. } = &fx[0] else {
             panic!("expected respond")
         };
@@ -843,8 +896,8 @@ mod tests {
     #[test]
     fn retire_parked_waiter() {
         let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
-        let fx = e.retire();
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
+        let fx = retire(&mut e);
         let Effect::Respond { data, .. } = &fx[0] else {
             panic!("expected respond")
         };
@@ -858,8 +911,8 @@ mod tests {
     #[test]
     fn retire_pending_delivered_on_next_load() {
         let mut e = ep();
-        assert!(e.retire().is_empty());
-        let fx = e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        assert!(retire(&mut e).is_empty());
+        let fx = load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         let Effect::Respond { data, .. } = &fx[0] else {
             panic!("expected respond, got {fx:?}")
         };
@@ -875,18 +928,19 @@ mod tests {
         e.set_stuck(true);
         assert!(e.is_stuck());
         // A load parks forever: no timer armed, no delivery.
-        let fx = e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        let fx = load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         assert!(fx.is_empty());
         assert!(e.is_parked());
         // A request can only queue — the parked fill stays unanswered.
         let (l, c) = rpc(1, b"a");
         assert_eq!(
-            e.on_request(l, c, SimTime::ZERO),
+            offer(&mut e, l, c, SimTime::ZERO).0,
             RequestOutcome::Queued { depth: 1 }
         );
         // The TRYAGAIN timer is swallowed; RETIRE pends undelivered.
-        assert!(e.on_timeout(e.generation).is_empty());
-        assert!(e.retire().is_empty());
+        let g = e.generation;
+        assert!(timeout(&mut e, g).is_empty());
+        assert!(retire(&mut e).is_empty());
         assert!(e.is_parked());
         assert_eq!(e.stats().tryagains, 0);
         // Repair: unstick, then the pending RETIRE answers the parked
@@ -897,7 +951,7 @@ mod tests {
             drained += 1;
         }
         assert_eq!(drained, 1);
-        let fx = e.retire();
+        let fx = retire(&mut e);
         let Effect::Respond { data, .. } = &fx[0] else {
             panic!("expected respond")
         };
@@ -914,9 +968,9 @@ mod tests {
         // hardest on: a request delivered, its response not yet
         // collected.
         let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
+        load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
         let (l, c) = rpc(9, b"req");
-        e.on_request(l, c, SimTime::ZERO);
+        offer(&mut e, l, c, SimTime::ZERO);
         let (expect, generation, outstanding) = e.protocol_snapshot();
         assert_eq!(expect, 1);
         assert!(outstanding.is_some());
@@ -929,7 +983,7 @@ mod tests {
         assert!(r.has_outstanding());
         // The completion signal (load on the other line) collects the
         // original response exactly as the pre-fault endpoint would.
-        let fx = r.on_load(LineRole::Control(1), tok(2), SimTime::from_us(5));
+        let fx = load(&mut r, LineRole::Control(1), tok(2), SimTime::from_us(5));
         let collect = fx
             .iter()
             .find_map(|f| match f {
@@ -944,7 +998,7 @@ mod tests {
     #[test]
     fn take_parked_salvages_fill_token() {
         let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(7), SimTime::ZERO);
+        load(&mut e, LineRole::Control(0), tok(7), SimTime::ZERO);
         assert_eq!(e.take_parked(), Some(tok(7)));
         assert!(!e.is_parked());
         assert_eq!(e.take_parked(), None);
@@ -952,22 +1006,66 @@ mod tests {
 
     #[test]
     fn aux_loads_answer_immediately_with_staged_data() {
-        let mut e = ep();
-        e.on_load(LineRole::Control(0), tok(1), SimTime::ZERO);
-        let big = vec![0x5A; 96 + 200]; // Spills into 2 AUX lines.
-        let (l, c) = rpc(1, &big);
-        e.on_request(l, c, SimTime::ZERO);
-        // Inline capacity is 96; AUX[0] carries bytes 96..224 and
-        // AUX[1] the remaining 72 bytes.
-        let fx = e.on_load(LineRole::Aux(0), tok(2), SimTime::from_us(1));
-        let Effect::Respond { data, .. } = &fx[0] else {
-            panic!("expected respond")
-        };
-        assert_eq!(data[..], big[96..224]);
-        let fx = e.on_load(LineRole::Aux(1), tok(3), SimTime::from_us(1));
-        let Effect::Respond { data, .. } = &fx[0] else {
-            panic!("expected respond")
-        };
-        assert_eq!(data[..big.len() - 224], big[224..]);
+        for line_size in [64, 128] {
+            let layout = EndpointLayout {
+                base: LineAddr(0x1_0000_0000),
+                line_size,
+                n_aux: 8,
+            };
+            let mut e = Endpoint::new(EndpointId(0), ProcessId(1), layout, 8);
+            let inline = DispatchLine::inline_capacity(line_size);
+            // What AUX[j] must hold: the argument bytes from
+            // `inline + j·line_size`, zero-padded to a full line.
+            let want = |args: &[u8], j: usize| {
+                let mut line = vec![0u8; line_size];
+                let tail = args.get(inline + j * line_size..).unwrap_or(&[]);
+                let n = tail.len().min(line_size);
+                line[..n].copy_from_slice(&tail[..n]);
+                line
+            };
+            let aux = |e: &mut Endpoint, j: usize, t: u64| {
+                let fx = load(e, LineRole::Aux(j), tok(100 + t), SimTime::from_us(t));
+                let [Effect::Respond { data, .. }] = &fx[..] else {
+                    panic!("expected one respond, got {fx:?}")
+                };
+                assert_eq!(data.len(), line_size);
+                data.to_vec()
+            };
+
+            // Request 1 spills into three AUX lines, the last one
+            // partial; distinct bytes catch a misplaced slice.
+            let first: Vec<u8> = (0..inline + 2 * line_size + 40)
+                .map(|i| (i % 251) as u8 | 1)
+                .collect();
+            assert_eq!(DispatchLine::aux_lines_needed(first.len(), line_size), 3);
+            load(&mut e, LineRole::Control(0), tok(1), SimTime::ZERO);
+            let (l, c) = rpc(1, &first);
+            offer(&mut e, l, c, SimTime::ZERO);
+            // Loads past the request's three AUX lines answer zeroes.
+            for j in 0..5 {
+                assert_eq!(
+                    aux(&mut e, j, j as u64),
+                    want(&first, j),
+                    "{line_size} B AUX[{j}]"
+                );
+            }
+
+            // Request 2 is shorter (one partial AUX line) and is
+            // delivered when the core finishes request 1: none of
+            // request 1's bytes may show through.
+            let second = vec![0xC3; inline + 10];
+            let (l, c) = rpc(2, &second);
+            offer(&mut e, l, c, SimTime::from_us(10));
+            load(&mut e, LineRole::Control(1), tok(2), SimTime::from_us(10));
+            for j in 0..5 {
+                let got = aux(&mut e, j, 20 + j as u64);
+                assert_eq!(got, want(&second, j), "{line_size} B AUX[{j}] after reuse");
+            }
+            assert!(aux(&mut e, 0, 30)[10..].iter().all(|&b| b == 0));
+            // Once request 2's response is collected its arguments are
+            // gone too: AUX reads zeroes until the next delivery.
+            load(&mut e, LineRole::Control(0), tok(3), SimTime::from_us(40));
+            assert_eq!(aux(&mut e, 0, 41), vec![0; line_size]);
+        }
     }
 }

@@ -10,20 +10,23 @@
 //!   wire,
 //! * [`LauberhornNic::on_timeout`] — a TRYAGAIN timer fired.
 //!
-//! Each returns [`NicAction`]s: timestamped instructions for the
+//! Each appends [`NicAction`]s — timestamped instructions for the
 //! simulation (answer this fill, arm this timer, fetch-exclusive and
-//! transmit, …). Every action drives the machine; counters live in
-//! [`LbNicStats`]. Keeping the NIC pure in this sense makes every
-//! decision unit-testable and lets the model checker drive the same
-//! logic.
+//! transmit, …) — to a buffer the caller owns and reuses, so a
+//! steady-state transition allocates nothing. Every action drives the
+//! machine; counters live in [`LbNicStats`]. Keeping the NIC pure in
+//! this sense makes every decision unit-testable and lets the model
+//! checker drive the same logic.
 
 use std::collections::HashMap;
 
-use lauberhorn_coherence::{FillToken, LineAddr};
+use lauberhorn_coherence::{FillToken, Line, LineAddr};
 use lauberhorn_os::ProcessId;
 use lauberhorn_packet::frame::EndpointAddr;
-use lauberhorn_packet::marshal::transform_to_dispatch_form;
-use lauberhorn_packet::{build_udp_frame, parse_udp_frame_ref, RpcHeader, RpcKind};
+use lauberhorn_packet::marshal::{append_dispatch_form, dispatch_form_len};
+use lauberhorn_packet::{
+    parse_udp_frame_ref, write_udp_frame, PacketError, RpcHeader, RpcKind, RPC_HEADER_LEN,
+};
 use lauberhorn_sim::{
     AdmissionCtl, OverloadConfig, ShedReason, SimDuration, SimTime, TenancyConfig,
 };
@@ -31,7 +34,9 @@ use lauberhorn_sim::{
 use crate::continuation::ContinuationTable;
 use crate::demux::{DemuxError, DemuxTable};
 use crate::dispatch::{DispatchKind, DispatchLine};
-use crate::endpoint::{Endpoint, EndpointId, EndpointLayout, LineRole, RequestCtx, RequestOutcome};
+use crate::endpoint::{
+    Effect, Endpoint, EndpointId, EndpointLayout, LineRole, RequestCtx, RequestOutcome,
+};
 use crate::large::LargeTransferModel;
 use crate::sched_mirror::SchedMirror;
 use crate::tenancy::{RateLimited, TenantPipeline};
@@ -157,7 +162,7 @@ pub enum NicAction {
         /// The parked fill to answer.
         token: FillToken,
         /// Line contents.
-        data: Vec<u8>,
+        data: Line,
         /// When the NIC issues the response.
         at: SimTime,
     },
@@ -337,6 +342,9 @@ pub struct LauberhornNic {
     /// Per-tenant staged pipeline, when an *enforcing* tenancy plan is
     /// armed ([`LauberhornNic::arm_tenancy`]).
     tenancy: Option<TenantPipeline>,
+    /// Effects of the endpoint transition in progress; always empty
+    /// between calls, kept only to reuse its capacity.
+    fx: Vec<Effect>,
 }
 
 impl LauberhornNic {
@@ -358,6 +366,7 @@ impl LauberhornNic {
             stats: LbNicStats::default(),
             admission: None,
             tenancy: None,
+            fx: Vec::new(),
             cfg,
         }
     }
@@ -433,7 +442,8 @@ impl LauberhornNic {
         request_id: u64,
         hint: u8,
         at: SimTime,
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         // Fairness refusals are already counted inside
         // `AdmissionCtl::admit`; noting them again here would double
         // the per-service shed counters.
@@ -443,13 +453,13 @@ impl LauberhornNic {
             }
         }
         self.stats.shed += 1;
-        vec![NicAction::Shed {
+        out.push(NicAction::Shed {
             reason,
             service,
             request_id,
             hint,
             at,
-        }]
+        });
     }
 
     /// The configuration.
@@ -609,16 +619,17 @@ impl LauberhornNic {
         self.mirror.set_running(core, process, now);
     }
 
+    /// Turns the effects endpoint `id` buffered in `self.fx` into
+    /// actions appended to `out`, leaving `self.fx` empty.
     fn map_effects(
         &mut self,
         id: EndpointId,
-        effects: Vec<crate::endpoint::Effect>,
         at: SimTime,
         loading_core: Option<usize>,
-    ) -> Vec<NicAction> {
-        use crate::endpoint::Effect;
-        let mut out = Vec::with_capacity(effects.len());
-        for e in effects {
+        out: &mut Vec<NicAction>,
+    ) {
+        let mut fx = std::mem::take(&mut self.fx);
+        for e in fx.drain(..) {
             match e {
                 Effect::Respond { token, data } => {
                     // Answering a fill unparks whatever core was waiting.
@@ -667,7 +678,23 @@ impl LauberhornNic {
                 }
             }
         }
-        out
+        self.fx = fx;
+    }
+
+    /// Offers a request to endpoint `id`, buffering a delivery's
+    /// effects in `self.fx`. A missing endpoint refuses the request
+    /// like a full one, handing it back.
+    fn offer(
+        &mut self,
+        id: EndpointId,
+        line: DispatchLine,
+        ctx: RequestCtx,
+        t: SimTime,
+    ) -> RequestOutcome {
+        match self.endpoints.get_mut(&id) {
+            Some(ep) => ep.on_request(line, ctx, t, &mut self.fx),
+            None => RequestOutcome::Rejected(line, ctx),
+        }
     }
 
     /// A core's load on device line `addr` was parked with `token`.
@@ -677,15 +704,17 @@ impl LauberhornNic {
         core: usize,
         token: FillToken,
         addr: LineAddr,
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         let at = now + self.cfg.nic_proc;
         let Some((id, role)) = self.endpoint_at(addr) else {
             // Not an endpoint line: answer zeros (device register space).
-            return vec![NicAction::CompleteFill {
+            out.push(NicAction::CompleteFill {
                 token,
-                data: vec![0; self.cfg.line_size],
+                data: Line::zeroed(self.cfg.line_size),
                 at,
-            }];
+            });
+            return;
         };
         let is_kernel = matches!(self.modes.get(&id), Some(EpMode::Kernel { .. }));
         // Kernel-endpoint work stealing: a core parking on an empty
@@ -712,13 +741,11 @@ impl LauberhornNic {
                     .get_mut(&donor)
                     .and_then(|e| e.steal_request());
                 if let Some((line, ctx)) = stolen {
-                    if let Some(ep) = self.endpoints.get_mut(&id) {
-                        let outcome = ep.on_request(line, ctx, now);
-                        debug_assert!(
-                            matches!(outcome, RequestOutcome::Queued { .. }),
-                            "not parked yet, so the steal queues"
-                        );
-                    }
+                    let outcome = self.offer(id, line, ctx, now);
+                    debug_assert!(
+                        matches!(outcome, RequestOutcome::Queued { .. }),
+                        "not parked yet, so the steal queues"
+                    );
                 }
             }
         }
@@ -730,32 +757,31 @@ impl LauberhornNic {
         // mid-request (nested RPC, §6) has not finished its request,
         // so user-endpoint responses are only ever collected by the
         // endpoint's own other-line load.
-        let mut pre = Vec::new();
         if let Some(prev) = self.pending_response_by_core.get(&core).copied() {
             let prev_is_kernel = matches!(self.modes.get(&prev), Some(EpMode::Kernel { .. }));
             if prev != id && prev_is_kernel {
                 if let Some(pep) = self.endpoints.get_mut(&prev) {
                     if let Some((line, ctx)) = pep.take_outstanding() {
                         self.stats.responses_tx += 1;
-                        pre.push(NicAction::CollectAndTransmit { line, ctx, at });
+                        out.push(NicAction::CollectAndTransmit { line, ctx, at });
                     }
                 }
                 self.pending_response_by_core.remove(&core);
             }
         }
-        let (effects, ep_process) = match self.endpoints.get_mut(&id) {
+        let ep_process = match self.endpoints.get_mut(&id) {
             Some(ep) => {
-                let fx = ep.on_load(role, token, now);
-                (fx, Some(ep.process))
+                ep.on_load(role, token, now, &mut self.fx);
+                Some(ep.process)
             }
-            None => (Vec::new(), None),
+            None => None,
         };
         // If the load parked (an ArmTimeout was emitted), record the
         // poller; the NIC infers user/kernel mode from the address (§4).
-        let parked = effects
+        let parked = self
+            .fx
             .iter()
-            .any(|e| matches!(e, crate::endpoint::Effect::ArmTimeout { .. }));
-        let mut effects = effects;
+            .any(|e| matches!(e, Effect::ArmTimeout { .. }));
         if parked {
             // lint:allow(unbounded-growth): keyed by endpoint id; at most one parked core per endpoint
             self.parked_core.insert(id, core);
@@ -773,11 +799,9 @@ impl LauberhornNic {
                 // to reallocate cores".
                 let matching = {
                     let demux = &self.demux;
-                    let kernel_eps: Vec<EndpointId> =
-                        self.kernel_eps.iter().flatten().copied().collect();
                     let mut found = None;
-                    for kid in kernel_eps {
-                        let stolen = self.endpoints.get_mut(&kid).and_then(|e| {
+                    for kid in self.kernel_eps.iter().flatten() {
+                        let stolen = self.endpoints.get_mut(kid).and_then(|e| {
                             e.steal_where(|ctx| {
                                 demux
                                     .service(ctx.service_id)
@@ -794,22 +818,17 @@ impl LauberhornNic {
                 };
                 if let Some((line, ctx)) = matching {
                     self.stats.fast_path += 1;
-                    match self
-                        .endpoints
-                        .get_mut(&id)
-                        .map(|ep| ep.on_request(line, ctx, now))
-                    {
-                        Some(RequestOutcome::DeliveredToParked(fx)) => effects.extend(fx),
-                        other => debug_assert!(other.is_none(), "endpoint just parked"),
-                    }
+                    let outcome = self.offer(id, line, ctx, now);
+                    debug_assert!(
+                        outcome == RequestOutcome::DeliveredToParked,
+                        "endpoint just parked"
+                    );
                 } else if let Some(ep) = self.endpoints.get_mut(&id) {
-                    effects.extend(ep.retire());
+                    ep.retire(&mut self.fx);
                 }
             }
         }
-        let mut actions = pre;
-        actions.extend(self.map_effects(id, effects, at, Some(core)));
-        actions
+        self.map_effects(id, at, Some(core), out);
     }
 
     /// Total requests waiting in kernel dispatch queues.
@@ -827,23 +846,27 @@ impl LauberhornNic {
         now: SimTime,
         endpoint: EndpointId,
         generation: u64,
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         let at = now + self.cfg.nic_proc;
-        let effects = match self.endpoints.get_mut(&endpoint) {
-            Some(ep) => ep.on_timeout(generation),
-            None => Vec::new(),
-        };
-        self.map_effects(endpoint, effects, at, None)
+        if let Some(ep) = self.endpoints.get_mut(&endpoint) {
+            ep.on_timeout(generation, &mut self.fx);
+        }
+        self.map_effects(endpoint, at, None, out);
     }
 
     /// Retires the waiter parked on `endpoint` (§5.2 core reallocation).
-    pub fn retire_endpoint(&mut self, now: SimTime, endpoint: EndpointId) -> Vec<NicAction> {
+    pub fn retire_endpoint(
+        &mut self,
+        now: SimTime,
+        endpoint: EndpointId,
+        out: &mut Vec<NicAction>,
+    ) {
         let at = now + self.cfg.nic_proc;
-        let effects = match self.endpoints.get_mut(&endpoint) {
-            Some(ep) => ep.retire(),
-            None => Vec::new(),
-        };
-        self.map_effects(endpoint, effects, at, None)
+        if let Some(ep) = self.endpoints.get_mut(&endpoint) {
+            ep.retire(&mut self.fx);
+        }
+        self.map_effects(endpoint, at, None, out);
     }
 
     fn deser_time(&self, wire_len: usize) -> SimDuration {
@@ -854,7 +877,9 @@ impl LauberhornNic {
                 .saturating_mul(wire_len.div_ceil(64) as u64)
     }
 
-    /// Builds the response frame for `ctx` carrying `payload`.
+    /// Builds the response frame for `ctx` carrying `payload` into
+    /// `out`, replacing its contents (a reused buffer makes this
+    /// allocation-free).
     ///
     /// Fails if the payload cannot fit a UDP datagram (a handler
     /// producing > 64 KiB); callers drop the response rather than
@@ -863,7 +888,8 @@ impl LauberhornNic {
         &self,
         ctx: &RequestCtx,
         payload: &[u8],
-    ) -> Result<Vec<u8>, lauberhorn_packet::PacketError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), PacketError> {
         let header = RpcHeader {
             kind: RpcKind::Response,
             service_id: ctx.service_id,
@@ -872,8 +898,9 @@ impl LauberhornNic {
             payload_len: payload.len() as u32,
             cont_hint: ctx.cont_hint,
         };
-        let msg = header.encode_message(payload)?;
-        build_udp_frame(self.cfg.nic_addr, ctx.client, &msg, 0)
+        let mut head = [0u8; RPC_HEADER_LEN];
+        header.write(&mut head)?;
+        write_udp_frame(self.cfg.nic_addr, ctx.client, &[&head, payload], 0, out)
     }
 
     /// Aux capacity of one endpoint in argument bytes.
@@ -881,21 +908,26 @@ impl LauberhornNic {
         DispatchLine::inline_capacity(self.cfg.line_size) + self.cfg.n_aux * self.cfg.line_size
     }
 
-    fn drop_frame(&mut self, reason: DropReason, request_id: Option<u64>) -> Vec<NicAction> {
+    fn drop_frame(
+        &mut self,
+        reason: DropReason,
+        request_id: Option<u64>,
+        out: &mut Vec<NicAction>,
+    ) {
         self.stats.dropped += 1;
-        vec![NicAction::Dropped { reason, request_id }]
+        out.push(NicAction::Dropped { reason, request_id });
     }
 
     /// A frame arrives from the wire at `now`.
-    pub fn on_request_frame(&mut self, now: SimTime, raw: &[u8]) -> Vec<NicAction> {
+    pub fn on_request_frame(&mut self, now: SimTime, raw: &[u8], out: &mut Vec<NicAction>) {
         // Zero-copy parse: the headers are decoded in place and the RPC
         // payload is borrowed from the wire buffer until the dispatch
         // line is built.
         let Ok(frame) = parse_udp_frame_ref(raw) else {
-            return self.drop_frame(DropReason::BadFrame, None);
+            return self.drop_frame(DropReason::BadFrame, None, out);
         };
         let Ok((header, wire_payload)) = RpcHeader::decode_message(frame.payload) else {
-            return self.drop_frame(DropReason::BadRpcHeader, None);
+            return self.drop_frame(DropReason::BadRpcHeader, None, out);
         };
         let client = EndpointAddr {
             mac: frame.eth.src,
@@ -915,9 +947,15 @@ impl LauberhornNic {
                     .as_ref()
                     .is_some_and(|p| p.covers(header.service_id))
                 {
-                    return self.tenant_ingress(now, header.service_id, header.request_id, raw);
+                    return self.tenant_ingress(
+                        now,
+                        header.service_id,
+                        header.request_id,
+                        raw,
+                        out,
+                    );
                 }
-                self.handle_request(t, header, wire_payload, client)
+                self.handle_request(t, header, wire_payload, client, out);
             }
             RpcKind::Response | RpcKind::Error => {
                 // A reply for a nested RPC: dispatch via continuation.
@@ -925,6 +963,7 @@ impl LauberhornNic {
                     return self.drop_frame(
                         DropReason::UnknownContinuation(header.cont_hint),
                         Some(header.request_id),
+                        out,
                     );
                 };
                 self.stats.continuations_hit += 1;
@@ -946,17 +985,11 @@ impl LauberhornNic {
                     cont_hint: 0,
                 };
                 let id = cont.endpoint;
-                let outcome = match self.endpoints.get_mut(&id) {
-                    Some(ep) => ep.on_request(line, ctx, t),
-                    None => return self.drop_frame(DropReason::Overflow, Some(header.request_id)),
-                };
-                match outcome {
-                    RequestOutcome::DeliveredToParked(effects) => {
-                        self.map_effects(id, effects, t, None)
-                    }
-                    RequestOutcome::Queued { .. } => Vec::new(),
-                    RequestOutcome::Rejected => {
-                        self.drop_frame(DropReason::Overflow, Some(header.request_id))
+                match self.offer(id, line, ctx, t) {
+                    RequestOutcome::DeliveredToParked => self.map_effects(id, t, None, out),
+                    RequestOutcome::Queued { .. } => {}
+                    RequestOutcome::Rejected(..) => {
+                        self.drop_frame(DropReason::Overflow, Some(header.request_id), out)
                     }
                 }
             }
@@ -973,22 +1006,21 @@ impl LauberhornNic {
         service: u16,
         request_id: u64,
         raw: &[u8],
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         let hint = self
             .demux
             .service(service)
-            .map(|svc| svc.endpoints.clone())
-            .map(|eps| self.service_hint(&eps))
-            .unwrap_or(0);
+            .map_or(0, |svc| self.service_hint(&svc.endpoints));
         // The caller only routes covered tenants here; with no armed
         // pipeline there is nothing to admit into.
         let Some(pipe) = self.tenancy.as_mut() else {
-            return Vec::new();
+            return;
         };
         match pipe.offer(now, service, raw.to_vec()) {
-            Ok(()) => vec![NicAction::PipelinePump { at: now }],
+            Ok(()) => out.push(NicAction::PipelinePump { at: now }),
             Err(RateLimited) => {
-                self.shed_frame(ShedReason::RateLimit, service, request_id, hint, now)
+                self.shed_frame(ShedReason::RateLimit, service, request_id, hint, now, out)
             }
         }
     }
@@ -998,19 +1030,18 @@ impl LauberhornNic {
     /// (re-parsed from the wire bytes the ingress already validated),
     /// and a follow-up pump is requested while any stage remains in
     /// service. A no-op unless an enforcing plan is armed.
-    pub fn pump_tenancy(&mut self, now: SimTime) -> Vec<NicAction> {
+    pub fn pump_tenancy(&mut self, now: SimTime, out: &mut Vec<NicAction>) {
         let (exits, next) = match self.tenancy.as_mut() {
             Some(p) => p.pump(now),
-            None => return Vec::new(),
+            None => return,
         };
-        let mut actions = Vec::new();
         for (done, _tenant, raw) in exits {
             let Ok(frame) = parse_udp_frame_ref(&raw) else {
-                actions.extend(self.drop_frame(DropReason::BadFrame, None));
+                self.drop_frame(DropReason::BadFrame, None, out);
                 continue;
             };
             let Ok((header, wire_payload)) = RpcHeader::decode_message(frame.payload) else {
-                actions.extend(self.drop_frame(DropReason::BadRpcHeader, None));
+                self.drop_frame(DropReason::BadRpcHeader, None, out);
                 continue;
             };
             let client = EndpointAddr {
@@ -1018,12 +1049,11 @@ impl LauberhornNic {
                 ip: frame.ip.src,
                 port: frame.udp.src_port,
             };
-            actions.extend(self.handle_request(done, header, wire_payload, client));
+            self.handle_request(done, header, wire_payload, client, out);
         }
         if let Some(at) = next {
-            actions.push(NicAction::PipelinePump { at });
+            out.push(NicAction::PipelinePump { at });
         }
-        actions
     }
 
     fn handle_request(
@@ -1032,37 +1062,29 @@ impl LauberhornNic {
         header: RpcHeader,
         wire_payload: &[u8],
         client: EndpointAddr,
-    ) -> Vec<NicAction> {
-        let (code_ptr, data_ptr, signature, process, endpoints) =
-            match self.demux.method(header.service_id, header.method_id) {
-                Ok(m) => match self.demux.service(header.service_id) {
-                    Ok(svc) => (
-                        m.code_ptr,
-                        m.data_ptr,
-                        m.signature.clone(),
-                        svc.process,
-                        svc.endpoints.clone(),
-                    ),
-                    Err(_) => {
-                        return self.drop_frame(
-                            DropReason::UnknownService(header.service_id),
-                            Some(header.request_id),
-                        )
-                    }
-                },
-                Err(DemuxError::UnknownService(s)) => {
-                    return self.drop_frame(DropReason::UnknownService(s), Some(header.request_id))
-                }
-                Err(DemuxError::UnknownMethod { service, method }) => {
-                    return self.drop_frame(
-                        DropReason::UnknownMethod(service, method),
-                        Some(header.request_id),
-                    )
-                }
-            };
-        // Deserialization offload: wire form → dispatch form (§5.1).
-        let Ok(args) = transform_to_dispatch_form(&signature, wire_payload) else {
-            return self.drop_frame(DropReason::Malformed, Some(header.request_id));
+        out: &mut Vec<NicAction>,
+    ) {
+        let (sid, rid) = (header.service_id, header.request_id);
+        // Demultiplexing borrows the method entry (for its signature)
+        // and the service entry (for its endpoint list).
+        let (method, svc) = match self.demux.method(sid, header.method_id) {
+            Ok(m) => match self.demux.service(sid) {
+                Ok(svc) => (m, svc),
+                Err(_) => return self.drop_frame(DropReason::UnknownService(sid), Some(rid), out),
+            },
+            Err(DemuxError::UnknownService(s)) => {
+                return self.drop_frame(DropReason::UnknownService(s), Some(rid), out)
+            }
+            Err(DemuxError::UnknownMethod { service, method }) => {
+                return self.drop_frame(DropReason::UnknownMethod(service, method), Some(rid), out)
+            }
+        };
+        // Deserialization offload: wire form → dispatch form (§5.1). A
+        // sizing pass validates the payload first, so arguments bound
+        // for the DMA fallback are never materialized and in-line ones
+        // stream into one exactly-sized buffer (below).
+        let Ok(arg_len) = dispatch_form_len(&method.signature, wire_payload) else {
+            return self.drop_frame(DropReason::Malformed, Some(rid), out);
         };
         t += self.deser_time(wire_payload.len());
         self.stats.rx_requests += 1;
@@ -1070,19 +1092,19 @@ impl LauberhornNic {
         // congestion, a service pulling more than its fair share of the
         // admission window is shed before it can occupy a queue slot.
         if self.admission.is_some() {
-            let congested = self.congested(&endpoints);
-            let hint = self.service_hint(&endpoints);
+            let congested = self.congested(&svc.endpoints);
+            let hint = self.service_hint(&svc.endpoints);
             let verdict = self
                 .admission
                 .as_mut()
-                .map_or(Ok(()), |adm| adm.admit(header.service_id, t, congested));
+                .map_or(Ok(()), |adm| adm.admit(sid, t, congested));
             if let Err(reason) = verdict {
-                return self.shed_frame(reason, header.service_id, header.request_id, hint, t);
+                return self.shed_frame(reason, sid, rid, hint, t, out);
             }
         }
         let ctx = RequestCtx {
-            request_id: header.request_id,
-            service_id: header.service_id,
+            request_id: rid,
+            service_id: sid,
             method_id: header.method_id,
             client,
             cont_hint: header.cont_hint,
@@ -1090,69 +1112,61 @@ impl LauberhornNic {
         // Large-message fallback (§6): payload too big for the line
         // protocol goes through DMA and the line carries a descriptor;
         // the line is delivered once the payload write completes.
-        let line = if args.len() > self.aux_capacity() || args.len() >= self.cfg.dma_threshold {
+        let (kind, args) = if arg_len > self.aux_capacity() || arg_len >= self.cfg.dma_threshold {
             self.stats.dma_fallbacks += 1;
             let buffer = self.dma_cursor;
-            self.dma_cursor += (args.len() as u64).div_ceil(4096) * 4096;
-            t += self.cfg.transfer.dma_time(args.len());
-            let mut desc = Vec::with_capacity(16);
-            desc.extend_from_slice(&buffer.to_le_bytes());
-            desc.extend_from_slice(&(args.len() as u64).to_le_bytes());
-            DispatchLine {
-                code_ptr,
-                data_ptr,
-                request_id: header.request_id,
-                service_id: header.service_id,
-                method_id: header.method_id,
-                kind: DispatchKind::DmaDescriptor,
-                args: desc,
-            }
+            self.dma_cursor += (arg_len as u64).div_ceil(4096) * 4096;
+            t += self.cfg.transfer.dma_time(arg_len);
+            let descriptor = [buffer.to_le_bytes(), (arg_len as u64).to_le_bytes()].concat();
+            (DispatchKind::DmaDescriptor, descriptor)
         } else {
-            DispatchLine {
-                code_ptr,
-                data_ptr,
-                request_id: header.request_id,
-                service_id: header.service_id,
-                method_id: header.method_id,
-                kind: DispatchKind::Rpc,
-                args,
+            let mut args = Vec::with_capacity(arg_len);
+            if append_dispatch_form(&method.signature, wire_payload, &mut args).is_err() {
+                // The sizing pass has already accepted these bytes.
+                return self.drop_frame(DropReason::Malformed, Some(rid), out);
             }
+            (DispatchKind::Rpc, args)
+        };
+        let line = DispatchLine {
+            code_ptr: method.code_ptr,
+            data_ptr: method.data_ptr,
+            request_id: rid,
+            service_id: sid,
+            method_id: header.method_id,
+            kind,
+            args,
         };
         // Target selection, in the paper's preference order (§5.2):
         // 1. a core parked on a user-mode endpoint of this service;
-        let parked_user = endpoints
+        let parked_user = svc
+            .endpoints
             .iter()
-            .find(|id| self.endpoints.get(id).is_some_and(|e| e.is_parked()));
-        if let Some(&id) = parked_user {
-            match self
-                .endpoints
-                .get_mut(&id)
-                .map(|ep| ep.on_request(line, ctx, t))
-            {
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
+            .find(|id| self.endpoints.get(id).is_some_and(|e| e.is_parked()))
+            .copied();
+        if let Some(id) = parked_user {
+            match self.offer(id, line, ctx, t) {
+                RequestOutcome::DeliveredToParked => {
                     self.stats.fast_path += 1;
-                    return self.map_effects(id, effects, t, None);
+                    self.map_effects(id, t, None, out);
                 }
-                Some(RequestOutcome::Queued { .. }) => {
+                RequestOutcome::Queued { .. } => {
                     // A wedged line engine (stuck-line fault) holds a
                     // parked fill it cannot answer: the request queues
                     // behind it until the watchdog repairs the line.
                     self.stats.queued_user += 1;
-                    return Vec::new();
                 }
-                other => {
-                    // A parked endpoint answers the delivery; anything
-                    // else means it vanished between the scan and now.
-                    debug_assert!(other.is_none(), "endpoint was parked");
-                    return Vec::new();
-                }
+                // Only a wedged engine with a full queue refuses.
+                RequestOutcome::Rejected(..) => {}
             }
+            return;
         }
         // 2. the process is running (busy): queue at its least-loaded
         //    endpoint — unless the queue has built past the scale-up
         //    threshold and a kernel dispatcher is free, in which case
         //    the NIC recruits another core for the service (§5.2);
-        let least_loaded_user = endpoints
+        let process = svc.process;
+        let least_loaded_user = svc
+            .endpoints
             .iter()
             .min_by_key(|id| {
                 self.endpoints
@@ -1160,106 +1174,101 @@ impl LauberhornNic {
                     .map_or(usize::MAX, |e| e.queue_depth())
             })
             .copied();
-        if let (true, Some(id)) = (self.mirror.is_running(process), least_loaded_user) {
-            let depth = self.endpoints.get(&id).map_or(0, |e| e.queue_depth());
-            let scale_out = depth >= self.cfg.scale_up_queue_threshold
-                && !self.mirror.kernel_pollers().is_empty();
-            if !scale_out {
-                match self
-                    .endpoints
-                    .get_mut(&id)
-                    .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
-                {
-                    Some(RequestOutcome::Queued { .. }) => {
-                        self.stats.queued_user += 1;
-                        return Vec::new();
+        let (line, ctx) = match least_loaded_user {
+            Some(id) if self.mirror.is_running(process) => {
+                let depth = self.endpoints.get(&id).map_or(0, |e| e.queue_depth());
+                let scale_out = depth >= self.cfg.scale_up_queue_threshold
+                    && self.mirror.kernel_pollers().next().is_some();
+                if scale_out {
+                    (line, ctx)
+                } else {
+                    match self.offer(id, line, ctx, t) {
+                        RequestOutcome::Queued { .. } => {
+                            self.stats.queued_user += 1;
+                            return;
+                        }
+                        RequestOutcome::DeliveredToParked => {
+                            // Raced with a park between the check and now.
+                            self.stats.fast_path += 1;
+                            return self.map_effects(id, t, None, out);
+                        }
+                        // Fall through to kernel delivery on overflow.
+                        RequestOutcome::Rejected(line, ctx) => (line, ctx),
                     }
-                    Some(RequestOutcome::DeliveredToParked(effects)) => {
-                        // Raced with a park between the check and now.
-                        self.stats.fast_path += 1;
-                        return self.map_effects(id, effects, t, None);
-                    }
-                    // Fall through to kernel delivery on overflow.
-                    Some(RequestOutcome::Rejected) | None => {}
                 }
             }
-        }
+            _ => (line, ctx),
+        };
         // 3–4. a core parked in the kernel-mode dispatch loop takes it,
         //    or it queues at the least-loaded kernel endpoint
         //    (`deliver_to_kernel`);
-        if let Some(actions) = self.deliver_to_kernel(&line, &ctx, t) {
-            return actions;
-        }
+        let Err((line, ctx)) = self.deliver_to_kernel(line, ctx, t, out) else {
+            return;
+        };
         // 5. last resort: queue at a user endpoint of the service even
         //    if the process is not known to be running (better than
-        //    dropping; the process will drain it when scheduled).
-        if let Some(&id) = endpoints.iter().min_by_key(|id| {
-            self.endpoints
-                .get(id)
-                .map_or(usize::MAX, |e| e.queue_depth())
-        }) {
-            if let Some(ep) = self.endpoints.get_mut(&id) {
-                match ep.on_request(line, ctx, t) {
-                    RequestOutcome::Queued { .. } => {
-                        self.stats.queued_user += 1;
-                        return Vec::new();
-                    }
-                    RequestOutcome::DeliveredToParked(effects) => {
-                        self.stats.fast_path += 1;
-                        return self.map_effects(id, effects, t, None);
-                    }
-                    RequestOutcome::Rejected => {}
+        //    dropping; the process will drain it when scheduled). Steps
+        //    2–4 queued nothing at a user endpoint, so the least-loaded
+        //    one is still `least_loaded_user`.
+        if let Some(id) = least_loaded_user {
+            match self.offer(id, line, ctx, t) {
+                RequestOutcome::Queued { .. } => {
+                    self.stats.queued_user += 1;
+                    return;
                 }
+                RequestOutcome::DeliveredToParked => {
+                    self.stats.fast_path += 1;
+                    return self.map_effects(id, t, None, out);
+                }
+                RequestOutcome::Rejected(..) => {}
             }
         }
         if self.admission.is_some() {
-            let hint = self.service_hint(&endpoints);
-            return self.shed_frame(
-                ShedReason::Capacity,
-                header.service_id,
-                header.request_id,
-                hint,
-                t,
-            );
+            let hint = self
+                .demux
+                .service(sid)
+                .map_or(0, |svc| self.service_hint(&svc.endpoints));
+            return self.shed_frame(ShedReason::Capacity, sid, rid, hint, t, out);
         }
-        self.drop_frame(DropReason::Overflow, Some(header.request_id))
+        self.drop_frame(DropReason::Overflow, Some(rid), out);
     }
 
     /// Steps 3–4 of the delivery preference order: a core parked in
     /// the kernel-mode dispatch loop takes the request, otherwise it
     /// queues at the least-loaded kernel endpoint (asking the OS to
     /// preempt a user poller when every core is busy, so the queue
-    /// drains promptly). `None` means no kernel endpoint took it.
+    /// drains promptly). If no kernel endpoint takes it, the request
+    /// comes back as the error.
     fn deliver_to_kernel(
         &mut self,
-        line: &DispatchLine,
-        ctx: &RequestCtx,
+        line: DispatchLine,
+        ctx: RequestCtx,
         t: SimTime,
-    ) -> Option<Vec<NicAction>> {
+        out: &mut Vec<NicAction>,
+    ) -> Result<(), (DispatchLine, RequestCtx)> {
         // The mirror is the NIC's view of scheduler state and may be
         // stale; a poller that left (or an endpoint that was torn down)
         // between observations is not a crash, the request just falls
         // through to the kernel queues.
-        if let Some((_, kep)) = self.mirror.kernel_pollers().first().copied() {
-            match self
-                .endpoints
-                .get_mut(&kep)
-                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
-            {
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
+        let poller = self.mirror.kernel_pollers().next();
+        let (line, ctx) = match poller {
+            Some((_, kep)) => match self.offer(kep, line, ctx, t) {
+                RequestOutcome::DeliveredToParked => {
                     self.stats.kernel_path += 1;
-                    return Some(self.map_effects(kep, effects, t, None));
+                    self.map_effects(kep, t, None, out);
+                    return Ok(());
                 }
-                Some(RequestOutcome::Queued { .. }) => {
+                RequestOutcome::Queued { .. } => {
                     // Stale mirror: the poller had already woken, but
                     // the request is safely queued at its endpoint.
                     self.stats.queued_kernel += 1;
-                    return Some(Vec::new());
+                    return Ok(());
                 }
-                Some(RequestOutcome::Rejected) | None => {}
-            }
-        }
-        let id = self
+                RequestOutcome::Rejected(line, ctx) => (line, ctx),
+            },
+            None => (line, ctx),
+        };
+        let least_loaded = self
             .kernel_eps
             .iter()
             .flatten()
@@ -1268,25 +1277,24 @@ impl LauberhornNic {
                     .get(id)
                     .map_or(usize::MAX, |e| e.queue_depth())
             })
-            .copied()?;
-        match self
-            .endpoints
-            .get_mut(&id)
-            .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
-        {
-            Some(RequestOutcome::Queued { .. }) => {
+            .copied();
+        let Some(id) = least_loaded else {
+            return Err((line, ctx));
+        };
+        match self.offer(id, line, ctx, t) {
+            RequestOutcome::Queued { .. } => {
                 self.stats.queued_kernel += 1;
-                let mut actions = Vec::new();
                 if let Some(core) = self.preemption_victim() {
-                    actions.push(NicAction::RequestPreempt { core, at: t });
+                    out.push(NicAction::RequestPreempt { core, at: t });
                 }
-                Some(actions)
+                Ok(())
             }
-            Some(RequestOutcome::DeliveredToParked(effects)) => {
+            RequestOutcome::DeliveredToParked => {
                 self.stats.kernel_path += 1;
-                Some(self.map_effects(id, effects, t, None))
+                self.map_effects(id, t, None, out);
+                Ok(())
             }
-            Some(RequestOutcome::Rejected) | None => None,
+            RequestOutcome::Rejected(line, ctx) => Err((line, ctx)),
         }
     }
 
@@ -1297,17 +1305,19 @@ impl LauberhornNic {
         now: SimTime,
         line: DispatchLine,
         ctx: RequestCtx,
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         let t = now + self.cfg.nic_proc;
+        let request_id = ctx.request_id;
         if self.demux.service(ctx.service_id).is_err() {
             return self.drop_frame(
                 DropReason::UnknownService(ctx.service_id),
-                Some(ctx.request_id),
+                Some(request_id),
+                out,
             );
         }
-        match self.deliver_to_kernel(&line, &ctx, t) {
-            Some(actions) => actions,
-            None => self.drop_frame(DropReason::Overflow, Some(ctx.request_id)),
+        if self.deliver_to_kernel(line, ctx, t, out).is_err() {
+            self.drop_frame(DropReason::Overflow, Some(request_id), out);
         }
     }
 
@@ -1516,7 +1526,7 @@ impl LauberhornNic {
     /// Picks a user-loop poller to preempt back into the kernel
     /// dispatch loop: prefer one whose endpoint has nothing queued.
     fn preemption_victim(&self) -> Option<usize> {
-        if !self.mirror.kernel_pollers().is_empty() {
+        if self.mirror.kernel_pollers().next().is_some() {
             return None;
         }
         let mut best: Option<(usize, usize)> = None; // (queue depth, core)
@@ -1535,8 +1545,16 @@ impl LauberhornNic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lauberhorn_packet::build_udp_frame;
     use lauberhorn_packet::marshal::Codec;
     use lauberhorn_packet::marshal::{ArgType, Signature, Value, VarintCodec};
+
+    /// Runs one NIC transition, returning the actions it appended.
+    fn run(f: impl FnOnce(&mut Vec<NicAction>)) -> Vec<NicAction> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
+    }
 
     fn nic() -> LauberhornNic {
         let mut n = LauberhornNic::new(
@@ -1577,11 +1595,11 @@ mod tests {
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
         // Core 2 parks on CONTROL[0].
-        let acts = n.on_core_load(SimTime::ZERO, 2, FillToken(1), layout.ctrl(0));
+        let acts = run(|o| n.on_core_load(SimTime::ZERO, 2, FillToken(1), layout.ctrl(0), o));
         assert!(matches!(acts[0], NicAction::ArmTimeout { .. }));
         // A request arrives: the fill is answered with the dispatch line,
         // and that answer is the only thing the fast path emits.
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42), o));
         assert_eq!(acts.len(), 1, "{acts:?}");
         let fill = acts
             .iter()
@@ -1591,7 +1609,7 @@ mod tests {
             })
             .expect("fill answered");
         assert_eq!(*fill.0, FillToken(1));
-        let line = DispatchLine::decode(fill.1, &[]).unwrap();
+        let line = DispatchLine::decode(&fill.1[..], &[]).unwrap();
         assert_eq!(line.code_ptr, 0xAAAA);
         assert_eq!(line.request_id, 7);
         // Args are in fixed dispatch form: little-endian u64.
@@ -1621,7 +1639,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::ZERO, &raw);
+        let acts = run(|o| n.on_request_frame(SimTime::ZERO, &raw, o));
         assert_eq!(
             acts,
             vec![NicAction::Dropped {
@@ -1638,7 +1656,7 @@ mod tests {
         n.demux_mut().add_endpoint(1, ep).unwrap();
         // Process is running (pushed by the kernel) but not parked.
         n.push_running(0, Some(ProcessId(10)), SimTime::ZERO);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1), o));
         assert!(acts.is_empty(), "queued silently: {acts:?}");
         assert_eq!(n.stats().queued_user, 1);
         assert_eq!(n.endpoint(ep).unwrap().queue_depth(), 1);
@@ -1651,8 +1669,8 @@ mod tests {
         n.demux_mut().add_endpoint(1, ep).unwrap();
         let (_kep, klayout) = n.create_kernel_endpoint(3);
         // Core 3 parks on the kernel endpoint.
-        n.on_core_load(SimTime::ZERO, 3, FillToken(9), klayout.ctrl(0));
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(2, 5));
+        run(|o| n.on_core_load(SimTime::ZERO, 3, FillToken(9), klayout.ctrl(0), o));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(2, 5), o));
         assert!(acts.iter().any(|a| matches!(
             a,
             NicAction::CompleteFill {
@@ -1669,7 +1687,7 @@ mod tests {
         let (ep, _) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
         n.create_kernel_endpoint(0);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(3, 5));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(3, 5), o));
         assert!(acts.is_empty());
         assert_eq!(n.stats().queued_kernel, 1);
     }
@@ -1679,7 +1697,7 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        let acts = n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
+        let acts = run(|o| n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0), o));
         let NicAction::ArmTimeout {
             endpoint,
             generation,
@@ -1689,12 +1707,12 @@ mod tests {
             panic!("expected arm")
         };
         assert_eq!(at, SimTime::ZERO + crate::endpoint::TRYAGAIN_TIMEOUT);
-        let acts = n.on_timeout(at, endpoint, generation);
+        let acts = run(|o| n.on_timeout(at, endpoint, generation, o));
         let NicAction::CompleteFill { data, .. } = &acts[0] else {
             panic!("expected fill")
         };
         assert_eq!(
-            DispatchLine::decode(data, &[]).unwrap().kind,
+            DispatchLine::decode(&data[..], &[]).unwrap().kind,
             DispatchKind::TryAgain
         );
     }
@@ -1704,10 +1722,10 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
-        n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42));
+        run(|o| n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0), o));
+        run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42), o));
         // Core handled it and loads CONTROL[1].
-        let acts = n.on_core_load(SimTime::from_us(5), 0, FillToken(2), layout.ctrl(1));
+        let acts = run(|o| n.on_core_load(SimTime::from_us(5), 0, FillToken(2), layout.ctrl(1), o));
         let collect = acts
             .iter()
             .find_map(|a| match a {
@@ -1728,7 +1746,7 @@ mod tests {
         n.demux_mut()
             .register_method(1, 0xCCCC, 0xDDDD, Signature::of(&[ArgType::Bytes]))
             .unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
+        run(|o| n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0), o));
         // Build a request with a payload beyond the DMA threshold.
         let big = vec![0xEE; n.config().dma_threshold + 1000];
         let sig = Signature::of(&[ArgType::Bytes]);
@@ -1750,7 +1768,7 @@ mod tests {
         )
         .unwrap();
         let arrival = SimTime::from_us(1);
-        let acts = n.on_request_frame(arrival, &raw);
+        let acts = run(|o| n.on_request_frame(arrival, &raw, o));
         let fill = acts
             .iter()
             .find_map(|a| match a {
@@ -1758,7 +1776,7 @@ mod tests {
                 _ => None,
             })
             .expect("dispatch line still delivered");
-        let line = DispatchLine::decode(fill.0, &[]).unwrap();
+        let line = DispatchLine::decode(&fill.0[..], &[]).unwrap();
         assert_eq!(line.kind, DispatchKind::DmaDescriptor);
         let buf = u64::from_le_bytes(line.args[0..8].try_into().unwrap());
         let len = u64::from_le_bytes(line.args[8..16].try_into().unwrap()) as usize;
@@ -1779,7 +1797,7 @@ mod tests {
             .create(cep, ProcessId(10), true)
             .unwrap();
         // Client parks on its continuation endpoint.
-        n.on_core_load(SimTime::ZERO, 1, FillToken(4), clayout.ctrl(0));
+        run(|o| n.on_core_load(SimTime::ZERO, 1, FillToken(4), clayout.ctrl(0), o));
         // A response frame arrives with the hint.
         let header = RpcHeader {
             kind: RpcKind::Response,
@@ -1797,16 +1815,16 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::from_us(2), &raw);
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(2), &raw, o));
         let NicAction::CompleteFill { data, .. } = &acts[0] else {
             panic!("expected fill, got {acts:?}")
         };
-        let line = DispatchLine::decode(data, &[]).unwrap();
+        let line = DispatchLine::decode(&data[..], &[]).unwrap();
         assert_eq!(line.request_id, 77);
         assert_eq!(line.args, b"okay");
         assert_eq!(n.stats().continuations_hit, 1);
         // One-shot: a second reply with the same hint is dropped.
-        let acts = n.on_request_frame(SimTime::from_us(3), &raw);
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(3), &raw, o));
         assert!(matches!(
             acts[0],
             NicAction::Dropped {
@@ -1826,7 +1844,8 @@ mod tests {
             client: EndpointAddr::host(5, 700),
             cont_hint: 3,
         };
-        let raw = n.build_response_frame(&ctx, b"result").unwrap();
+        let mut raw = vec![0xEE; 7];
+        n.build_response_frame(&ctx, b"result", &mut raw).unwrap();
         let frame = parse_udp_frame_ref(&raw).unwrap();
         let (h, payload) = RpcHeader::decode_message(frame.payload).unwrap();
         assert_eq!(h.kind, RpcKind::Response);
@@ -1854,18 +1873,18 @@ mod tests {
         let (_k1, l1) = n.create_kernel_endpoint(1);
         // Two requests queue while no core is parked; both land on the
         // least-loaded kernel endpoints (one each).
-        n.on_request_frame(SimTime::from_us(1), &request_frame(1, 10));
-        n.on_request_frame(SimTime::from_us(2), &request_frame(2, 20));
+        run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(1, 10), o));
+        run(|o| n.on_request_frame(SimTime::from_us(2), &request_frame(2, 20), o));
         assert_eq!(n.stats().queued_kernel, 2);
         // Core 1 parks on ITS endpoint: it serves its own queued
         // request first...
-        let acts = n.on_core_load(SimTime::from_us(3), 1, FillToken(1), l1.ctrl(0));
+        let acts = run(|o| n.on_core_load(SimTime::from_us(3), 1, FillToken(1), l1.ctrl(0), o));
         assert!(acts
             .iter()
             .any(|a| matches!(a, NicAction::CompleteFill { .. })));
         // ...and when it parks again, steals core 0's queued request
         // rather than leaving it stranded.
-        let acts = n.on_core_load(SimTime::from_us(4), 1, FillToken(2), l1.ctrl(1));
+        let acts = run(|o| n.on_core_load(SimTime::from_us(4), 1, FillToken(2), l1.ctrl(1), o));
         let fill = acts.iter().find_map(|a| match a {
             NicAction::CompleteFill { data, .. } => Some(data),
             _ => None,
@@ -1884,8 +1903,8 @@ mod tests {
         let (ep1, l1) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep0).unwrap();
         n.demux_mut().add_endpoint(1, ep1).unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), l0.ctrl(0));
-        n.on_core_load(SimTime::ZERO, 1, FillToken(2), l1.ctrl(0));
+        run(|o| n.on_core_load(SimTime::ZERO, 0, FillToken(1), l0.ctrl(0), o));
+        run(|o| n.on_core_load(SimTime::ZERO, 1, FillToken(2), l1.ctrl(0), o));
         // A request for an *unknown-process* service: register service 2
         // with no endpoints; it must queue at a kernel endpoint and ask
         // the OS to preempt one of the user pollers.
@@ -1911,7 +1930,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::from_us(1), &raw);
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &raw, o));
         assert!(
             acts.iter()
                 .any(|a| matches!(a, NicAction::RequestPreempt { .. })),
@@ -1926,8 +1945,8 @@ mod tests {
         let (_k0, kl0) = n.create_kernel_endpoint(0);
         // Core 0 parks in the kernel loop; the request is delivered
         // there directly — no preemption needed.
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), kl0.ctrl(0));
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(7, 7));
+        run(|o| n.on_core_load(SimTime::ZERO, 0, FillToken(1), kl0.ctrl(0), o));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(7, 7), o));
         assert!(!acts
             .iter()
             .any(|a| matches!(a, NicAction::RequestPreempt { .. })));
@@ -1949,10 +1968,10 @@ mod tests {
         n.demux_mut().add_endpoint(1, ep).unwrap();
         // No parked core, no kernel endpoints: requests land in the
         // last-resort user queue, whose cap arm_overload set to 2.
-        n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1));
-        n.on_request_frame(SimTime::from_us(2), &request_frame(2, 2));
+        run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1), o));
+        run(|o| n.on_request_frame(SimTime::from_us(2), &request_frame(2, 2), o));
         assert_eq!(n.endpoint(ep).unwrap().queue_depth(), 2);
-        let acts = n.on_request_frame(SimTime::from_us(3), &request_frame(3, 3));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(3), &request_frame(3, 3), o));
         match &acts[0] {
             NicAction::Shed {
                 reason: ShedReason::Capacity,
@@ -1973,7 +1992,7 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
+        run(|o| n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0), o));
         // Garbage payload that is not a valid varint encoding.
         let header = RpcHeader {
             kind: RpcKind::Request,
@@ -1991,7 +2010,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::ZERO, &raw);
+        let acts = run(|o| n.on_request_frame(SimTime::ZERO, &raw, o));
         assert_eq!(
             acts,
             vec![NicAction::Dropped {
@@ -2038,13 +2057,13 @@ mod tests {
             .create(e1, ProcessId(10), true)
             .unwrap();
         // Core 2 parks on e1, core 3 on e2.
-        n.on_core_load(SimTime::ZERO, 2, FillToken(21), l1.ctrl(0));
-        n.on_core_load(SimTime::ZERO, 3, FillToken(31), l2.ctrl(0));
+        run(|o| n.on_core_load(SimTime::ZERO, 2, FillToken(21), l1.ctrl(0), o));
+        run(|o| n.on_core_load(SimTime::ZERO, 3, FillToken(31), l2.ctrl(0), o));
         // Request 7 delivers into e1's parked fill: its response is now
         // outstanding on CONTROL[0]. Request 9 (service 2, nobody home)
         // queues at the kernel endpoint.
-        n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42));
-        n.on_request_frame(SimTime::from_us(2), &frame_for_service(2, 9, 5));
+        run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42), o));
+        run(|o| n.on_request_frame(SimTime::from_us(2), &frame_for_service(2, 9, 5), o));
         assert_eq!(n.stats().queued_kernel, 1);
 
         let salvage = n.reset();
@@ -2068,7 +2087,7 @@ mod tests {
         );
         // The blank NIC knows nothing: requests fail-stop, addresses
         // no longer resolve.
-        let acts = n.on_request_frame(SimTime::from_us(3), &request_frame(8, 1));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(3), &request_frame(8, 1), o));
         assert!(matches!(
             acts[0],
             NicAction::Dropped {
@@ -2100,7 +2119,7 @@ mod tests {
         // I9 at unit level: the handler finishes and loads CONTROL[1];
         // the reconstructed endpoint collects the pre-fault request's
         // response exactly as the un-reset NIC would have.
-        let acts = n.on_core_load(SimTime::from_us(10), 2, FillToken(22), l1.ctrl(1));
+        let acts = run(|o| n.on_core_load(SimTime::from_us(10), 2, FillToken(22), l1.ctrl(1), o));
         let collect = acts
             .iter()
             .find_map(|a| match a {
@@ -2112,9 +2131,9 @@ mod tests {
         assert_eq!(collect.1.request_id, 7);
         // Salvaged orphans requeue on the kernel path (PR 2's crash
         // recovery, generalized to the whole NIC).
-        n.on_core_load(SimTime::from_us(11), 0, FillToken(40), lk0.ctrl(0));
+        run(|o| n.on_core_load(SimTime::from_us(11), 0, FillToken(40), lk0.ctrl(0), o));
         let (line, ctx) = salvage.orphans.into_iter().next().unwrap();
-        let acts = n.redeliver_to_kernel(SimTime::from_us(12), line, ctx);
+        let acts = run(|o| n.redeliver_to_kernel(SimTime::from_us(12), line, ctx, o));
         assert!(acts.iter().any(|a| matches!(
             a,
             NicAction::CompleteFill {
@@ -2133,7 +2152,7 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        let acts = n.on_core_load(SimTime::ZERO, 1, FillToken(5), layout.ctrl(0));
+        let acts = run(|o| n.on_core_load(SimTime::ZERO, 1, FillToken(5), layout.ctrl(0), o));
         let NicAction::ArmTimeout { generation, at, .. } = acts[0] else {
             panic!("expected arm");
         };
@@ -2143,25 +2162,25 @@ mod tests {
         assert!(!health.healthy());
         assert_eq!(health.stuck_endpoints, vec![ep]);
         // A request queues behind the wedged fill instead of delivering.
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(5, 1));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(5, 1), o));
         assert!(acts.is_empty(), "black hole: {acts:?}");
         assert_eq!(n.stats().queued_user, 1);
         assert_eq!(n.stats().fast_path, 0);
         // Even the TRYAGAIN timer is swallowed: the line never
         // transitions, which is exactly what the lease watchdog detects.
-        assert!(n.on_timeout(at, ep, generation).is_empty());
+        assert!(run(|o| n.on_timeout(at, ep, generation, o)).is_empty());
         // Repair: unstick, drain the blocked queue for kernel-path
         // requeue, then retire the stalled waiter.
         let drained = n.repair_stuck_endpoint(ep);
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].1.request_id, 5);
-        let acts = n.retire_endpoint(SimTime::from_us(2), ep);
+        let acts = run(|o| n.retire_endpoint(SimTime::from_us(2), ep, o));
         let NicAction::CompleteFill { token, data, .. } = &acts[0] else {
             panic!("expected retire fill, got {acts:?}");
         };
         assert_eq!(*token, FillToken(5));
         assert_eq!(
-            DispatchLine::decode(data, &[]).unwrap().kind,
+            DispatchLine::decode(&data[..], &[]).unwrap().kind,
             DispatchKind::Retire
         );
         assert!(n.probe_health().healthy());
@@ -2171,11 +2190,11 @@ mod tests {
     fn table_fault_is_fail_stop_until_reprogrammed() {
         let mut n = nic();
         let (_k0, lk0) = n.create_kernel_endpoint(0);
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), lk0.ctrl(0));
+        run(|o| n.on_core_load(SimTime::ZERO, 0, FillToken(1), lk0.ctrl(0), o));
         // nth wraps over the (single) registered service.
         assert_eq!(n.inject_table_fault(3), Some(1));
         assert_eq!(n.probe_health().corrupted_services, vec![1]);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1), o));
         assert!(matches!(
             acts[0],
             NicAction::Dropped {
@@ -2190,7 +2209,7 @@ mod tests {
             .register_method(1, 0xAAAA, 0xBBBB, Signature::of(&[ArgType::U64]))
             .unwrap();
         assert!(n.probe_health().healthy());
-        let acts = n.on_request_frame(SimTime::from_us(2), &request_frame(2, 2));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(2), &request_frame(2, 2), o));
         assert!(acts.iter().any(|a| matches!(
             a,
             NicAction::CompleteFill {
@@ -2224,7 +2243,7 @@ mod tests {
         // observations). Delivery must fall through to the queue, not
         // crash or drop.
         n.mirror.observe_poll(0, kep, true, SimTime::ZERO);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(4, 4));
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(1), &request_frame(4, 4), o));
         assert!(acts.is_empty(), "no fill to answer: {acts:?}");
         assert_eq!(n.stats().kernel_path, 0);
         assert_eq!(n.stats().queued_kernel, 1);
@@ -2240,10 +2259,10 @@ mod tests {
         // parks and answers fills, but is invisible to dispatch (no
         // kernel_eps slot, no mirror view) rather than corrupting state.
         let (_k7, lk7) = n.create_kernel_endpoint(7);
-        let acts = n.on_core_load(SimTime::from_us(1), 7, FillToken(1), lk7.ctrl(0));
+        let acts = run(|o| n.on_core_load(SimTime::from_us(1), 7, FillToken(1), lk7.ctrl(0), o));
         assert!(matches!(acts[0], NicAction::ArmTimeout { .. }));
-        assert!(n.mirror().kernel_pollers().is_empty());
-        let acts = n.on_request_frame(SimTime::from_us(2), &request_frame(6, 6));
+        assert_eq!(n.mirror().kernel_pollers().next(), None);
+        let acts = run(|o| n.on_request_frame(SimTime::from_us(2), &request_frame(6, 6), o));
         assert_eq!(
             acts,
             vec![NicAction::Dropped {

@@ -167,8 +167,10 @@ impl SchedMirror {
         self.cores.iter().any(|v| v.running == Some(process))
     }
 
-    /// Cores currently parked in the kernel-mode dispatch loop.
-    pub fn kernel_pollers(&self) -> Vec<(usize, EndpointId)> {
+    /// Cores currently parked in the kernel-mode dispatch loop, in core
+    /// order (an iterator: the NIC asks this on every kernel-path
+    /// delivery and usually wants only the first).
+    pub fn kernel_pollers(&self) -> impl Iterator<Item = (usize, EndpointId)> + '_ {
         self.cores
             .iter()
             .enumerate()
@@ -176,7 +178,6 @@ impl SchedMirror {
                 CoreMode::PollingKernel(ep) => Some((i, ep)),
                 _ => None,
             })
-            .collect()
     }
 
     /// Total kernel pushes received (the §4 claim is that keeping this
@@ -217,7 +218,7 @@ mod tests {
         m.observe_poll(1, EndpointId(10), true, SimTime::ZERO);
         m.observe_poll(2, EndpointId(11), true, SimTime::ZERO);
         assert_eq!(
-            m.kernel_pollers(),
+            m.kernel_pollers().collect::<Vec<_>>(),
             vec![(1, EndpointId(10)), (2, EndpointId(11))]
         );
     }
@@ -238,11 +239,14 @@ mod tests {
         m.desync();
         assert!(m.is_desynced());
         assert!(!m.is_running(ProcessId(1)));
-        assert!(m.kernel_pollers().is_empty());
+        assert_eq!(m.kernel_pollers().next(), None);
         // Observed loads rebuild views even while desynced (inference
         // does not depend on the push channel)...
         m.observe_poll(1, EndpointId(4), true, SimTime::from_us(1));
-        assert_eq!(m.kernel_pollers(), vec![(1, EndpointId(4))]);
+        assert_eq!(
+            m.kernel_pollers().collect::<Vec<_>>(),
+            vec![(1, EndpointId(4))]
+        );
         assert!(m.is_desynced());
         // ...and the kernel's re-push plus resync completes repair.
         m.set_running(0, Some(ProcessId(1)), SimTime::from_us(2));

@@ -103,15 +103,19 @@ fn endpoint_protocol_holds_invariants() {
         let mut answered_tokens = std::collections::HashSet::new();
         let mut outstanding_tokens = std::collections::HashSet::new();
 
-        // Applies one batch of effects, updating the core mirror.
-        let apply = |effects: Vec<Effect>,
+        // One effect buffer, reused for every transition as the NIC
+        // does.
+        let mut fx: Vec<Effect> = Vec::new();
+        // Applies (and drains) one batch of effects, updating the core
+        // mirror.
+        let apply = |effects: &mut Vec<Effect>,
                      core: &mut CoreState,
                      armed_gen: &mut Option<u64>,
                      collected: &mut u64,
                      delivered: &mut u64,
                      answered: &mut std::collections::HashSet<u64>,
                      outstanding: &mut std::collections::HashSet<u64>| {
-            for e in effects {
+            for e in effects.drain(..) {
                 match e {
                     Effect::Respond { token, data } => {
                         assert!(
@@ -157,9 +161,9 @@ fn endpoint_protocol_holds_invariants() {
                         next_token += 1;
                         outstanding_tokens.insert(token.0);
                         core = CoreState::Waiting(p);
-                        let fx = ep.on_load(LineRole::Control(p), token, SimTime::ZERO);
+                        ep.on_load(LineRole::Control(p), token, SimTime::ZERO, &mut fx);
                         apply(
-                            fx,
+                            &mut fx,
                             &mut core,
                             &mut armed_gen,
                             &mut collected,
@@ -177,9 +181,9 @@ fn endpoint_protocol_holds_invariants() {
                         next_token += 1;
                         outstanding_tokens.insert(token.0);
                         core = CoreState::Waiting(other);
-                        let fx = ep.on_load(LineRole::Control(other), token, SimTime::ZERO);
+                        ep.on_load(LineRole::Control(other), token, SimTime::ZERO, &mut fx);
                         apply(
-                            fx,
+                            &mut fx,
                             &mut core,
                             &mut armed_gen,
                             &mut collected,
@@ -194,10 +198,10 @@ fn endpoint_protocol_holds_invariants() {
                     let (line, ctx) = rpc(next_req);
                     next_req += 1;
                     injected += 1;
-                    match ep.on_request(line, ctx, SimTime::ZERO) {
-                        RequestOutcome::DeliveredToParked(fx) => {
+                    match ep.on_request(line, ctx, SimTime::ZERO, &mut fx) {
+                        RequestOutcome::DeliveredToParked => {
                             apply(
-                                fx,
+                                &mut fx,
                                 &mut core,
                                 &mut armed_gen,
                                 &mut collected,
@@ -207,14 +211,14 @@ fn endpoint_protocol_holds_invariants() {
                             );
                         }
                         RequestOutcome::Queued { .. } => {}
-                        RequestOutcome::Rejected => rejected += 1,
+                        RequestOutcome::Rejected(..) => rejected += 1,
                     }
                 }
                 Step::Timeout => {
                     if let Some(g) = armed_gen.take() {
-                        let fx = ep.on_timeout(g);
+                        ep.on_timeout(g, &mut fx);
                         apply(
-                            fx,
+                            &mut fx,
                             &mut core,
                             &mut armed_gen,
                             &mut collected,
@@ -225,9 +229,9 @@ fn endpoint_protocol_holds_invariants() {
                     }
                 }
                 Step::Retire => {
-                    let fx = ep.retire();
+                    ep.retire(&mut fx);
                     apply(
-                        fx,
+                        &mut fx,
                         &mut core,
                         &mut armed_gen,
                         &mut collected,

@@ -73,12 +73,29 @@ pub fn build_udp_frame(
     payload: &[u8],
     ident: u16,
 ) -> Result<Vec<u8>> {
-    let udp = UdpHeader::for_payload(src.port, dst.port, payload.len())?;
+    let mut buf = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    write_udp_frame(src, dst, &[payload], ident, &mut buf)?;
+    Ok(buf)
+}
+
+/// Writes the frame [`build_udp_frame`] builds into `out`, replacing
+/// its contents but keeping its capacity; the UDP payload is the
+/// concatenation of `parts`. A transmit path that reuses one buffer
+/// builds every frame without allocating.
+pub fn write_udp_frame(
+    src: EndpointAddr,
+    dst: EndpointAddr,
+    parts: &[&[u8]],
+    ident: u16,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let payload_len = parts.iter().map(|p| p.len()).sum::<usize>();
+    let udp = UdpHeader::for_payload(src.port, dst.port, payload_len)?;
     let ip = Ipv4Header::for_payload(
         src.ip,
         dst.ip,
         PROTO_UDP,
-        UDP_HEADER_LEN + payload.len(),
+        UDP_HEADER_LEN + payload_len,
         ident,
     )?;
     let eth = EthernetHeader {
@@ -86,12 +103,15 @@ pub fn build_udp_frame(
         src: src.mac,
         ethertype: EtherType::Ipv4,
     };
-    let mut buf = vec![0u8; FRAME_OVERHEAD + payload.len()];
-    let mut off = eth.write(&mut buf)?;
-    off += ip.write(&mut buf[off..])?;
-    buf[off + UDP_HEADER_LEN..].copy_from_slice(payload);
-    udp.write(src.ip, dst.ip, &mut buf[off..])?;
-    Ok(buf)
+    out.clear();
+    out.resize(FRAME_OVERHEAD, 0);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    let mut off = eth.write(out)?;
+    off += ip.write(&mut out[off..])?;
+    udp.write(src.ip, dst.ip, &mut out[off..])?;
+    Ok(())
 }
 
 /// A parsed UDP frame whose payload borrows the input buffer.
@@ -180,6 +200,17 @@ mod tests {
         assert_eq!(parsed.ip.dst, dst.ip);
         assert_eq!(parsed.eth.src, src.mac);
         assert_eq!(parsed.ip.ident, 42);
+    }
+
+    #[test]
+    fn written_frame_equals_built_frame_and_reuses_the_buffer() {
+        let (src, dst) = pair();
+        let built = build_udp_frame(src, dst, b"headerpayload", 9).unwrap();
+        let mut out = vec![0xEE; 256];
+        let cap = out.capacity();
+        write_udp_frame(src, dst, &[b"header", b"payload"], 9, &mut out).unwrap();
+        assert_eq!(out, built);
+        assert_eq!(out.capacity(), cap);
     }
 
     #[test]

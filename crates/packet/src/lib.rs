@@ -31,7 +31,9 @@ pub mod udp;
 
 pub use buf::{BufPool, PktBuf};
 pub use eth::{EtherType, EthernetHeader, MacAddr};
-pub use frame::{build_udp_frame, parse_udp_frame, parse_udp_frame_ref, UdpFrame, UdpFrameRef};
+pub use frame::{
+    build_udp_frame, parse_udp_frame, parse_udp_frame_ref, write_udp_frame, UdpFrame, UdpFrameRef,
+};
 pub use ipv4::Ipv4Header;
 pub use rpcwire::{RpcHeader, RpcKind, RPC_HEADER_LEN};
 pub use udp::UdpHeader;

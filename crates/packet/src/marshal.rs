@@ -15,7 +15,10 @@
 //!
 //! The software cost of decoding each format is modelled in the `rpc`
 //! crate; here we implement the actual byte transformations so the
-//! simulated NIC performs real work.
+//! simulated NIC performs real work. The NIC's transformation
+//! ([`transform_to_dispatch_form`], or [`dispatch_form_len`] then
+//! [`append_dispatch_form`]) streams wire bytes straight into the
+//! fixed form; the two codecs are its reference.
 
 use crate::{PacketError, Result};
 
@@ -347,10 +350,10 @@ impl Codec for VarintCodec {
                         });
                     }
                     let len = get_varint(data, &mut off)? as usize;
-                    if off + len > data.len() {
+                    if off.saturating_add(len) > data.len() {
                         return Err(PacketError::Truncated {
                             layer: "marshal",
-                            need: off + len,
+                            need: off.saturating_add(len),
                             have: data.len(),
                         });
                     }
@@ -378,12 +381,106 @@ impl Codec for VarintCodec {
     }
 }
 
+/// Where the streaming transcoder puts dispatch-form bytes.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Counts the bytes instead of keeping them.
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+/// One pass over the varint wire form, writing each argument's fixed
+/// form as soon as it is decoded — no intermediate [`Value`]s. The
+/// checks, their order and their errors are [`VarintCodec::decode`]'s.
+fn stream_dispatch_form(sig: &Signature, wire: &[u8], out: &mut impl Sink) -> Result<()> {
+    let bad = |field| PacketError::BadField {
+        layer: "marshal",
+        field,
+    };
+    let mut off = 0usize;
+    for (i, t) in sig.0.iter().enumerate() {
+        let tag = get_varint(wire, &mut off)?;
+        if tag >> 3 != (i + 1) as u64 {
+            return Err(bad("field_number"));
+        }
+        let wire_type = tag & 0x7;
+        match t {
+            ArgType::U64 | ArgType::I64 | ArgType::Bool => {
+                if wire_type != WIRE_VARINT {
+                    return Err(bad("wire_type"));
+                }
+                let raw = get_varint(wire, &mut off)?;
+                match t {
+                    ArgType::I64 => out.put(&unzigzag(raw).to_le_bytes()),
+                    ArgType::Bool if raw > 1 => return Err(bad("bool")),
+                    ArgType::Bool => out.put(&[raw as u8]),
+                    _ => out.put(&raw.to_le_bytes()),
+                }
+            }
+            ArgType::Bytes | ArgType::Str => {
+                if wire_type != WIRE_LEN {
+                    return Err(bad("wire_type"));
+                }
+                let len = get_varint(wire, &mut off)? as usize;
+                let end = off.saturating_add(len);
+                let Some(blob) = wire.get(off..end) else {
+                    return Err(PacketError::Truncated {
+                        layer: "marshal",
+                        need: end,
+                        have: wire.len(),
+                    });
+                };
+                off = end;
+                if *t == ArgType::Str && std::str::from_utf8(blob).is_err() {
+                    return Err(bad("utf8"));
+                }
+                out.put(&(len as u32).to_le_bytes());
+                out.put(blob);
+            }
+        }
+    }
+    if off != wire.len() {
+        return Err(bad("trailing"));
+    }
+    Ok(())
+}
+
+/// Length of the fixed dispatch form of a varint-encoded payload,
+/// validating it exactly as [`transform_to_dispatch_form`] does but
+/// producing nothing: the NIC sizes a request (inline, AUX, or the DMA
+/// fallback) before materializing it.
+pub fn dispatch_form_len(sig: &Signature, wire: &[u8]) -> Result<usize> {
+    let mut len = 0usize;
+    stream_dispatch_form(sig, wire, &mut len)?;
+    Ok(len)
+}
+
+/// Appends the fixed dispatch form of a varint-encoded payload to
+/// `out` (on error, `out` may hold a partial prefix). With `out`
+/// reserved to [`dispatch_form_len`], this allocates nothing.
+pub fn append_dispatch_form(sig: &Signature, wire: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    stream_dispatch_form(sig, wire, out)
+}
+
 /// Transforms a varint-encoded payload into the fixed dispatch form —
 /// the operation the Lauberhorn deserialization offload performs in
-/// hardware (§5.1).
+/// hardware (§5.1). Returns exactly what
+/// `FixedCodec.encode(sig, &VarintCodec.decode(sig, wire)?)` returns,
+/// in one exactly-sized allocation.
 pub fn transform_to_dispatch_form(sig: &Signature, wire: &[u8]) -> Result<Vec<u8>> {
-    let values = VarintCodec.decode(sig, wire)?;
-    FixedCodec.encode(sig, &values)
+    let mut out = Vec::with_capacity(dispatch_form_len(sig, wire)?);
+    append_dispatch_form(sig, wire, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -429,6 +526,31 @@ mod tests {
         let wire = VarintCodec.encode(&sig, &args).unwrap();
         let dispatch = transform_to_dispatch_form(&sig, &wire).unwrap();
         assert_eq!(dispatch, FixedCodec.encode(&sig, &args).unwrap());
+    }
+
+    #[test]
+    fn dispatch_form_len_matches_transform() {
+        let (sig, args) = sig_and_args();
+        let wire = VarintCodec.encode(&sig, &args).unwrap();
+        let fixed = transform_to_dispatch_form(&sig, &wire).unwrap();
+        assert_eq!(dispatch_form_len(&sig, &wire), Ok(fixed.len()));
+        assert_eq!(fixed.capacity(), fixed.len(), "one exactly-sized buffer");
+    }
+
+    #[test]
+    fn huge_declared_length_is_truncation_not_overflow() {
+        let sig = Signature::of(&[ArgType::Bytes]);
+        // Tag for field 1 length-delimited, then a length of u64::MAX.
+        let mut raw = vec![0x0a];
+        raw.extend_from_slice(&[0xff; 9]);
+        raw.push(0x01);
+        let want = Err(PacketError::Truncated {
+            layer: "marshal",
+            need: usize::MAX,
+            have: raw.len(),
+        });
+        assert_eq!(VarintCodec.decode(&sig, &raw).map(|_| ()), want);
+        assert_eq!(transform_to_dispatch_form(&sig, &raw).map(|_| ()), want);
     }
 
     #[test]

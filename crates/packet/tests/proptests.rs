@@ -6,8 +6,11 @@
 //! framework: cases are generated from a seeded SplitMix64 stream.
 
 use lauberhorn_packet::frame::{build_udp_frame, parse_udp_frame, EndpointAddr};
-use lauberhorn_packet::marshal::{ArgType, Codec, FixedCodec, Signature, Value, VarintCodec};
-use lauberhorn_packet::{RpcHeader, RpcKind};
+use lauberhorn_packet::marshal::{
+    dispatch_form_len, transform_to_dispatch_form, ArgType, Codec, FixedCodec, Signature, Value,
+    VarintCodec,
+};
+use lauberhorn_packet::{PacketError, RpcHeader, RpcKind};
 
 /// Deterministic SplitMix64 (the packet crate has no RNG dependency).
 struct TestRng(u64);
@@ -94,9 +97,146 @@ fn nic_transform_equals_software_path() {
         // The deserialization offload must agree with decode+encode.
         let sig = signature_of(&args);
         let wire = VarintCodec.encode(&sig, &args).unwrap();
-        let transformed =
-            lauberhorn_packet::marshal::transform_to_dispatch_form(&sig, &wire).unwrap();
+        let transformed = transform_to_dispatch_form(&sig, &wire).unwrap();
         assert_eq!(transformed, FixedCodec.encode(&sig, &args).unwrap());
+    }
+}
+
+fn arb_signature(rng: &mut TestRng) -> Signature {
+    let n = rng.below(6) as usize;
+    Signature(
+        (0..n)
+            .map(|_| match rng.below(5) {
+                0 => ArgType::U64,
+                1 => ArgType::I64,
+                2 => ArgType::Bool,
+                3 => ArgType::Bytes,
+                _ => ArgType::Str,
+            })
+            .collect(),
+    )
+}
+
+/// Offset of argument `i`'s tag in the varint encoding of `args`: the
+/// encoding of a prefix of the arguments is a prefix of the encoding.
+fn tag_offset(args: &[Value], i: usize) -> usize {
+    let prefix = &args[..i];
+    VarintCodec
+        .encode(&signature_of(prefix), prefix)
+        .unwrap()
+        .len()
+}
+
+/// A copy of `wire` damaged in one of the ways a malformed request can
+/// be: truncated, a wrong field number or wire type, a bool above 1,
+/// invalid UTF-8, an overlong varint, or trailing bytes. Tags are one
+/// byte (fewer than 16 arguments).
+fn mutate(rng: &mut TestRng, args: &[Value], wire: &[u8]) -> Vec<u8> {
+    let mut w = wire.to_vec();
+    let pick = |rng: &mut TestRng, want: fn(&Value) -> bool| {
+        let idx: Vec<usize> = (0..args.len()).filter(|&i| want(&args[i])).collect();
+        (!idx.is_empty()).then(|| idx[rng.below(idx.len() as u64) as usize])
+    };
+    match rng.below(7) {
+        0 if !w.is_empty() => w.truncate(rng.below(w.len() as u64) as usize),
+        1 => {
+            if let Some(i) = pick(rng, |_| true) {
+                let at = tag_offset(args, i);
+                let field = 1 + (i as u64 + 1 + rng.below(14)) % 15;
+                w[at] = (field << 3) as u8 | (w[at] & 0x7);
+            }
+        }
+        2 => {
+            if let Some(i) = pick(rng, |_| true) {
+                let at = tag_offset(args, i);
+                w[at] ^= 1 + rng.below(7) as u8;
+            }
+        }
+        3 => {
+            if let Some(i) = pick(rng, |v| matches!(v, Value::Bool(_))) {
+                w[tag_offset(args, i) + 1] = 2 + rng.below(126) as u8;
+            }
+        }
+        4 => {
+            if let Some(i) = pick(rng, |v| matches!(v, Value::Str(s) if !s.is_empty())) {
+                let Value::Str(text) = &args[i] else {
+                    unreachable!()
+                };
+                // Lengths below 128 take one varint byte.
+                let start = tag_offset(args, i) + 2;
+                w[start + rng.below(text.len() as u64) as usize] = 0xff;
+            }
+        }
+        5 => {
+            // Replace a varint (a tag, or a scalar's value) by eleven
+            // continuation-heavy bytes: more than 64 bits of payload.
+            if let Some(i) = pick(rng, |_| true) {
+                let at = tag_offset(args, i) + rng.below(2) as usize;
+                let end = (at + 1).min(w.len());
+                let mut overlong = vec![0x80; 10];
+                overlong.push(0x01);
+                w.splice(at..end, overlong);
+            }
+        }
+        _ => {
+            let n = 1 + rng.below(4) as usize;
+            w.extend(rng.bytes(n));
+        }
+    }
+    w
+}
+
+#[test]
+fn streaming_transform_matches_decode_then_encode() {
+    let mut seen = std::collections::BTreeSet::new();
+    for case in 0..2048 {
+        let mut rng = TestRng::new(8000 + case);
+        let args = arb_args(&mut rng);
+        let mut sig = signature_of(&args);
+        let clean = VarintCodec.encode(&sig, &args).unwrap();
+        let wire = match rng.below(4) {
+            0 => clean,
+            1 => {
+                // A well-formed payload read against some other
+                // signature.
+                sig = arb_signature(&mut rng);
+                clean
+            }
+            _ => mutate(&mut rng, &args, &clean),
+        };
+        let reference = VarintCodec
+            .decode(&sig, &wire)
+            .and_then(|vals| FixedCodec.encode(&sig, &vals));
+        assert_eq!(
+            transform_to_dispatch_form(&sig, &wire),
+            reference,
+            "case {case}: sig {sig:?} wire {wire:02x?}"
+        );
+        assert_eq!(
+            dispatch_form_len(&sig, &wire),
+            reference.as_ref().map(Vec::len).map_err(Clone::clone),
+            "case {case}"
+        );
+        seen.insert(match reference {
+            Ok(_) => "ok",
+            Err(PacketError::Truncated { .. }) => "truncated",
+            Err(PacketError::BadField { field, .. }) => field,
+            Err(PacketError::BadChecksum { .. }) => "checksum",
+        });
+    }
+    // Every mutation class reached the comparison.
+    let want = [
+        "ok",
+        "truncated",
+        "field_number",
+        "wire_type",
+        "bool",
+        "utf8",
+        "varint",
+        "trailing",
+    ];
+    for w in want {
+        assert!(seen.contains(w), "no case produced `{w}`: {seen:?}");
     }
 }
 

@@ -30,7 +30,8 @@ fn lauberhorn_nic_survives_random_garbage() {
         let len = rng.gen_range(0usize..512);
         let mut frame = vec![0u8; len];
         rng.fill_bytes(&mut frame);
-        let actions = nic.on_request_frame(SimTime::from_us(i), &frame);
+        let mut actions = Vec::new();
+        nic.on_request_frame(SimTime::from_us(i), &frame, &mut actions);
         // Garbage either drops or (vanishingly unlikely) parses; it
         // must never panic and never produce a fill for a parked load
         // that doesn't exist.
@@ -78,7 +79,7 @@ fn lauberhorn_nic_survives_bit_flips_of_valid_frames() {
         for bit in 0..8 {
             let mut corrupt = valid.clone();
             corrupt[byte] ^= 1 << bit;
-            let _ = nic.on_request_frame(SimTime::from_us(byte as u64), &corrupt);
+            nic.on_request_frame(SimTime::from_us(byte as u64), &corrupt, &mut Vec::new());
         }
     }
 }
@@ -104,7 +105,8 @@ fn unknown_service_and_method_drop_cleanly() {
         )
         .expect("builds")
     };
-    let acts = nic.on_request_frame(SimTime::ZERO, &mk(99, 0));
+    let mut acts = Vec::new();
+    nic.on_request_frame(SimTime::ZERO, &mk(99, 0), &mut acts);
     assert_eq!(
         acts,
         vec![NicAction::Dropped {
@@ -112,7 +114,8 @@ fn unknown_service_and_method_drop_cleanly() {
             request_id: Some(1),
         }]
     );
-    let acts = nic.on_request_frame(SimTime::ZERO, &mk(1, 42));
+    let mut acts = Vec::new();
+    nic.on_request_frame(SimTime::ZERO, &mk(1, 42), &mut acts);
     assert_eq!(
         acts,
         vec![NicAction::Dropped {
@@ -183,7 +186,8 @@ fn endpoint_queue_overflow_spills_to_kernel_not_panic() {
             0,
         )
         .expect("builds");
-        let acts = nic.on_request_frame(SimTime::from_us(i), &raw);
+        let mut acts = Vec::new();
+        nic.on_request_frame(SimTime::from_us(i), &raw, &mut acts);
         if !acts.iter().any(|a| matches!(a, NicAction::Dropped { .. })) {
             accepted += 1;
         }
@@ -230,7 +234,8 @@ fn armed_queue_cap_sheds_at_capacity_without_panic() {
             0,
         )
         .expect("builds");
-        let acts = nic.on_request_frame(SimTime::from_us(i), &raw);
+        let mut acts = Vec::new();
+        nic.on_request_frame(SimTime::from_us(i), &raw, &mut acts);
         shed += acts
             .iter()
             .filter(|a| matches!(a, NicAction::Shed { .. }))
@@ -428,16 +433,19 @@ fn tryagain_window_boundary_is_exactly_15ms() {
     let (ep, layout) = nic.create_endpoint(ProcessId(1));
     nic.demux_mut().add_endpoint(1, ep).expect("registered");
     let t0 = SimTime::from_us(1);
-    let acts = nic.on_core_load(t0, 0, FillToken(1), layout.ctrl(0));
+    let mut acts = Vec::new();
+    nic.on_core_load(t0, 0, FillToken(1), layout.ctrl(0), &mut acts);
     let NicAction::ArmTimeout { generation, at, .. } = acts[0] else {
         panic!("park should arm the TRYAGAIN timer, got {acts:?}");
     };
     assert_eq!(at, t0 + TRYAGAIN_TIMEOUT, "deadline drifts off 15 ms");
     let just_inside = SimTime::from_ps(at.as_ps() - 1);
-    let acts = nic.on_request_frame(just_inside, &request(1));
+    let mut acts = Vec::new();
+    nic.on_request_frame(just_inside, &request(1), &mut acts);
     assert_eq!(fill_kind(&acts), Some(DispatchKind::Rpc));
     // The timer still fires at 15 ms but is now stale: no TRYAGAIN.
-    let acts = nic.on_timeout(at, ep, generation);
+    let mut acts = Vec::new();
+    nic.on_timeout(at, ep, generation, &mut acts);
     assert!(acts.is_empty(), "stale timer produced {acts:?}");
 
     // --- Nothing arrives: at exactly 15 ms the core gets TRYAGAIN,
@@ -446,20 +454,24 @@ fn tryagain_window_boundary_is_exactly_15ms() {
     let mut nic = lb_nic();
     let (ep, layout) = nic.create_endpoint(ProcessId(1));
     nic.demux_mut().add_endpoint(1, ep).expect("registered");
-    let acts = nic.on_core_load(t0, 0, FillToken(2), layout.ctrl(0));
+    let mut acts = Vec::new();
+    nic.on_core_load(t0, 0, FillToken(2), layout.ctrl(0), &mut acts);
     let NicAction::ArmTimeout { generation, at, .. } = acts[0] else {
         panic!("park should arm the TRYAGAIN timer, got {acts:?}");
     };
-    let acts = nic.on_timeout(at, ep, generation);
+    let mut acts = Vec::new();
+    nic.on_timeout(at, ep, generation, &mut acts);
     assert_eq!(fill_kind(&acts), Some(DispatchKind::TryAgain));
     // After TRYAGAIN the core re-issues on the same parity.
     let reissue = at + SimDuration::from_us(1);
-    let acts = nic.on_core_load(reissue, 0, FillToken(3), layout.ctrl(0));
+    let mut acts = Vec::new();
+    nic.on_core_load(reissue, 0, FillToken(3), layout.ctrl(0), &mut acts);
     assert!(
         matches!(acts[0], NicAction::ArmTimeout { .. }),
         "re-issued load must park again, got {acts:?}"
     );
-    let acts = nic.on_request_frame(reissue + SimDuration::from_us(5), &request(2));
+    let mut acts = Vec::new();
+    nic.on_request_frame(reissue + SimDuration::from_us(5), &request(2), &mut acts);
     assert_eq!(
         fill_kind(&acts),
         Some(DispatchKind::Rpc),
