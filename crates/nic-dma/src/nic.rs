@@ -7,7 +7,7 @@
 //! Everything after that (steps 5–12) is software and lives in the
 //! `lauberhorn-os` / `lauberhorn-rpc` crates.
 
-use lauberhorn_packet::{parse_udp_frame, PacketError, UdpFrame};
+use lauberhorn_packet::{parse_udp_frame_ref, PacketError};
 use lauberhorn_pcie::iommu::IommuError;
 use lauberhorn_pcie::msix::MSIX_DELIVERY;
 use lauberhorn_pcie::{Iommu, MsixTable, PcieLink};
@@ -83,9 +83,8 @@ pub struct RxDelivery {
     pub queue: u32,
     /// The descriptor consumed (buffer the frame now occupies).
     pub desc: RxDescriptor,
-    /// Parsed frame (the NIC wrote the raw bytes to the host buffer;
-    /// the simulation hands the parse result along with it).
-    pub frame: UdpFrame,
+    /// UDP payload bytes of the frame the NIC wrote to the buffer.
+    pub payload_len: usize,
     /// Absolute time the completion (and data) are visible to software.
     pub ready_at: SimTime,
     /// If an interrupt fires for this packet: `(core, at)`.
@@ -216,8 +215,9 @@ impl DmaNic {
         steer: Option<u32>,
     ) -> Result<RxDelivery, RxDrop> {
         // Steps 1–2: read the packet, protocol processing (checksum
-        // offload). A bad frame is dropped in hardware.
-        let frame = match parse_udp_frame(raw) {
+        // offload). A bad frame is dropped in hardware. The frame is
+        // validated in place; nothing is copied.
+        let frame = match parse_udp_frame_ref(raw) {
             Ok(f) => f,
             Err(e) => {
                 self.stats.rx_bad_frame += 1;
@@ -225,8 +225,15 @@ impl DmaNic {
             }
         };
         // Step 3: demultiplex to a queue.
-        let (src, dst, sp, dp, _) = frame.five_tuple();
-        let queue = steer.unwrap_or_else(|| self.rss.queue_for(src, dst, sp, dp));
+        let queue = steer.unwrap_or_else(|| {
+            self.rss.queue_for(
+                frame.ip.src,
+                frame.ip.dst,
+                frame.udp.src_port,
+                frame.udp.dst_port,
+            )
+        });
+        let payload_len = frame.payload.len();
         let desc = match self.rx_rings[queue as usize].take() {
             Ok(d) => d,
             Err(_) => {
@@ -239,9 +246,9 @@ impl DmaNic {
         if self.cfg.use_iommu {
             match self
                 .iommu
-                .translate_range(desc.buf_iova, raw.len() as u64, true)
+                .translate_range(desc.buf_iova, raw.len() as u64, true, |_, _| {})
             {
-                Ok((_, lat)) => when += lat,
+                Ok(lat) => when += lat,
                 Err(e) => {
                     self.stats.rx_iommu_fault += 1;
                     return Err(RxDrop::IommuFault(e));
@@ -252,7 +259,7 @@ impl DmaNic {
         when += self.cfg.link.dma_write_time(raw.len());
         when += self.cfg.link.serialize_time(32);
         self.stats.rx_delivered += 1;
-        self.stats.rx_bytes += frame.payload.len() as u64;
+        self.stats.rx_bytes += payload_len as u64;
         // Step 4: interrupt, subject to masking and moderation.
         let interrupt = match self.moderation[queue as usize].request(when) {
             Some(at) => self.msix.raise(queue as usize).map(|core| {
@@ -264,7 +271,7 @@ impl DmaNic {
         Ok(RxDelivery {
             queue,
             desc,
-            frame,
+            payload_len,
             ready_at: when,
             interrupt,
         })
@@ -280,9 +287,9 @@ impl DmaNic {
         if self.cfg.use_iommu {
             match self
                 .iommu
-                .translate_range(desc.buf_iova, desc.len as u64, false)
+                .translate_range(desc.buf_iova, desc.len as u64, false, |_, _| {})
             {
-                Ok((_, lat)) => when += lat,
+                Ok(lat) => when += lat,
                 Err(e) => return Err(RxDrop::IommuFault(e)),
             }
         }
@@ -338,7 +345,7 @@ mod tests {
         let mut nic = nic_with_buffers();
         let raw = frame_bytes(1234);
         let d = nic.rx_packet(SimTime::from_us(10), &raw).unwrap();
-        assert_eq!(d.frame.payload, b"payload");
+        assert_eq!(d.payload_len, b"payload".len());
         assert!(d.ready_at > SimTime::from_us(10));
         // First packet on an idle queue interrupts.
         let (core, at) = d.interrupt.expect("interrupt fires");

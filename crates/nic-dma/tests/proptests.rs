@@ -47,7 +47,7 @@ fn frames_are_delivered_or_counted_dropped() {
                     delivered += 1;
                     // Recycle so later frames have buffers.
                     nic.post_rx(d.queue, d.desc).unwrap();
-                    assert_eq!(d.frame.payload.len(), *len);
+                    assert_eq!(d.payload_len, *len);
                 }
                 Err(_) => dropped += 1,
             }

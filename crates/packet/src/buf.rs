@@ -13,15 +13,22 @@
 //! path never copies, and a corrupted retransmission never disturbs
 //! the pristine copy held for later retries.
 //!
-//! [`BufPool`] recycles the backing allocations of buffers that drop
-//! to a single owner, so steady-state simulation reuses a small ring
-//! of allocations instead of hitting the allocator per frame. The
-//! pool is deterministic: it is a plain LIFO of storage, carries no
-//! addresses or clocks, and affects only *where* bytes live.
+//! [`BufPool`] recycles frames their sender has finished with. It
+//! keeps a handle to each frame it is shown, and [`BufPool::take`]
+//! hands back the oldest one that no other holder still references,
+//! for the sender to rewrite in place through [`PktBuf::make_mut`].
+//! Steady-state simulation thus reuses a small set of allocations
+//! instead of hitting the allocator per frame. A frame that is still
+//! shared is never handed out, and even if it were, `make_mut` would
+//! copy it rather than overwrite another holder's bytes, so
+//! correctness never depends on the pool's policy. The pool is
+//! deterministic: it carries no addresses or clocks and affects only
+//! *where* bytes live.
 //!
 //! `Arc` (not `Rc`) so stacks owning buffers can move across the
 //! parallel sweep's worker threads.
 
+use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -56,15 +63,9 @@ impl PktBuf {
         Arc::make_mut(&mut self.0)
     }
 
-    /// How many handles share this buffer (diagnostics/tests).
+    /// How many handles share this buffer.
     pub fn ref_count(&self) -> usize {
         Arc::strong_count(&self.0)
-    }
-
-    /// Reclaims the backing storage if this handle is the last owner,
-    /// for recycling through a [`BufPool`].
-    fn into_storage(self) -> Option<Vec<u8>> {
-        Arc::try_unwrap(self.0).ok()
     }
 }
 
@@ -96,46 +97,51 @@ impl PartialEq for PktBuf {
 
 impl Eq for PktBuf {}
 
-/// A LIFO pool of backing allocations for [`PktBuf`].
+/// Longest frame a [`BufPool`] keeps. A kept frame pins the capacity
+/// of the largest frame it ever carried, so keeping the rare frames of
+/// tens of KiB in a heavy-tailed size mix would pin that much per
+/// slot for the rest of the run; they are allocated afresh instead.
+const MAX_KEPT_LEN: usize = 16 * 1024;
+
+/// A recycler of sent frames.
 ///
-/// `take` hands out a cleared-but-capacitated `Vec<u8>`; `recycle`
-/// returns a buffer's storage to the pool when no other handle still
-/// references it. Bounded so a burst cannot pin memory forever.
+/// [`keep`](BufPool::keep) retains a handle to a frame just sent;
+/// [`take`](BufPool::take) hands back the oldest kept frame that no
+/// other holder references any more. Bounded in the number of frames
+/// and in their length, so a burst cannot pin memory forever.
 #[derive(Debug, Default)]
 pub struct BufPool {
-    spare: Vec<Vec<u8>>,
+    kept: VecDeque<PktBuf>,
     cap: usize,
 }
 
 impl BufPool {
-    /// A pool retaining at most `cap` spare allocations.
+    /// A pool keeping at most `cap` frames.
     pub fn new(cap: usize) -> Self {
         BufPool {
-            spare: Vec::new(),
+            kept: VecDeque::with_capacity(cap),
             cap,
         }
     }
 
-    /// An empty vector with recycled capacity when available.
-    pub fn take(&mut self) -> Vec<u8> {
-        self.spare.pop().unwrap_or_default()
+    /// The oldest kept frame that no other handle references, removed
+    /// from the pool, or a new empty frame when every kept one is
+    /// still in use. Its bytes are stale: rewrite them through
+    /// [`PktBuf::make_mut`], which reuses the allocation.
+    pub fn take(&mut self) -> PktBuf {
+        self.kept
+            .iter()
+            .position(|f| f.ref_count() == 1)
+            .and_then(|i| self.kept.remove(i))
+            .unwrap_or_default()
     }
 
-    /// Returns `buf`'s storage to the pool if this was the last
-    /// handle; shared buffers are simply dropped.
-    pub fn recycle(&mut self, buf: PktBuf) {
-        if self.spare.len() >= self.cap {
-            return;
+    /// Keeps a handle to `frame` for a later [`take`](BufPool::take),
+    /// unless the pool is full or the frame is longer than 16 KiB.
+    pub fn keep(&mut self, frame: &PktBuf) {
+        if self.kept.len() < self.cap && frame.len() <= MAX_KEPT_LEN {
+            self.kept.push_back(frame.clone());
         }
-        if let Some(mut v) = buf.into_storage() {
-            v.clear();
-            self.spare.push(v);
-        }
-    }
-
-    /// Spare allocations currently held.
-    pub fn spare_count(&self) -> usize {
-        self.spare.len()
     }
 }
 
@@ -174,26 +180,105 @@ mod tests {
         assert_eq!(a.len(), 10);
     }
 
+    /// Takes a frame from `pool` and writes `len` bytes of `fill`.
+    fn write(pool: &mut BufPool, len: usize, fill: u8) -> PktBuf {
+        let mut f = pool.take();
+        let v = f.make_mut();
+        v.clear();
+        v.resize(len, fill);
+        f
+    }
+
     #[test]
     fn pool_recycles_last_owner_only() {
         let mut pool = BufPool::new(4);
-        let a = PktBuf::from_vec(vec![0; 128]);
-        let b = a.clone();
-        pool.recycle(a); // Shared: dropped, not pooled.
-        assert_eq!(pool.spare_count(), 0);
-        pool.recycle(b); // Last owner: storage reclaimed.
-        assert_eq!(pool.spare_count(), 1);
-        let v = pool.take();
-        assert!(v.is_empty());
-        assert!(v.capacity() >= 128);
+        let sent = write(&mut pool, 100, 1);
+        pool.keep(&sent);
+        let sent_ptr = sent.as_ptr();
+        // Another handle is live: the frame is not handed out.
+        let other = pool.take();
+        assert!(other.is_empty());
+        assert_ne!(other.as_ptr(), sent_ptr);
+        assert_eq!(sent.as_slice(), &[1; 100]);
+        // Released: the same allocation comes back, sole-owned.
+        drop(sent);
+        let mut again = pool.take();
+        assert_eq!(again.as_ptr(), sent_ptr);
+        assert_eq!(again.ref_count(), 1);
+        let cap = again.make_mut().capacity();
+        let v = again.make_mut();
+        v.clear();
+        v.resize(100, 3);
+        assert_eq!(
+            again.as_ptr(),
+            sent_ptr,
+            "a same-size rewrite reallocates nothing"
+        );
+        assert_eq!(again.make_mut().capacity(), cap);
+        assert_eq!(again.as_slice(), &[3; 100]);
+    }
+
+    #[test]
+    fn oldest_free_frame_comes_back_first() {
+        let mut pool = BufPool::new(4);
+        let frames: Vec<PktBuf> = (0..3).map(|i| write(&mut pool, 8, i)).collect();
+        for f in &frames {
+            pool.keep(f);
+        }
+        let ptrs: Vec<*const u8> = frames.iter().map(|f| f.as_ptr()).collect();
+        // The oldest is still held elsewhere; the next two are free.
+        let mut frames = frames.into_iter();
+        let held = frames.next();
+        drop(frames);
+        assert_eq!(pool.take().as_ptr(), ptrs[1]);
+        assert_eq!(pool.take().as_ptr(), ptrs[2]);
+        assert!(pool.take().is_empty());
+        drop(held);
+        assert_eq!(pool.take().as_ptr(), ptrs[0]);
+    }
+
+    #[test]
+    fn frames_over_the_length_cap_are_not_kept() {
+        let mut pool = BufPool::new(4);
+        let at_cap = write(&mut pool, MAX_KEPT_LEN, 1);
+        let over = write(&mut pool, MAX_KEPT_LEN + 1, 2);
+        pool.keep(&at_cap);
+        pool.keep(&over);
+        let at_cap_ptr = at_cap.as_ptr();
+        drop((at_cap, over));
+        assert_eq!(pool.take().as_ptr(), at_cap_ptr);
+        assert!(pool.take().is_empty(), "the long frame was not kept");
     }
 
     #[test]
     fn pool_is_bounded() {
         let mut pool = BufPool::new(2);
-        for _ in 0..5 {
-            pool.recycle(PktBuf::from_vec(vec![0; 8]));
+        let frames: Vec<PktBuf> = (0..5).map(|i| write(&mut pool, 8, i)).collect();
+        for f in &frames {
+            pool.keep(f);
         }
-        assert_eq!(pool.spare_count(), 2);
+        drop(frames);
+        assert_eq!(pool.take().as_slice(), &[0; 8]);
+        assert_eq!(pool.take().as_slice(), &[1; 8]);
+        assert!(pool.take().is_empty(), "only two frames were kept");
+    }
+
+    #[test]
+    fn corrupting_a_taken_frame_spares_the_retransmit_copy() {
+        let mut pool = BufPool::new(4);
+        let sent = write(&mut pool, 64, 7);
+        pool.keep(&sent);
+        let retransmit = sent.clone();
+        // The wire copy is corrupted in flight: copy-on-write.
+        let mut wire = sent;
+        if let Some(b) = wire.make_mut().get_mut(20) {
+            *b ^= 0x40;
+        }
+        assert_ne!(wire, retransmit);
+        assert_eq!(retransmit.as_slice(), &[7; 64]);
+        // Nothing hands out the retransmit copy while it is held.
+        drop(wire);
+        assert!(pool.take().is_empty());
+        assert_eq!(retransmit.as_slice(), &[7; 64]);
     }
 }

@@ -81,7 +81,8 @@ pub fn build_udp_frame(
 /// Writes the frame [`build_udp_frame`] builds into `out`, replacing
 /// its contents but keeping its capacity; the UDP payload is the
 /// concatenation of `parts`. A transmit path that reuses one buffer
-/// builds every frame without allocating.
+/// builds every frame without allocating. On error `out`'s contents
+/// are unspecified.
 pub fn write_udp_frame(
     src: EndpointAddr,
     dst: EndpointAddr,
@@ -89,7 +90,33 @@ pub fn write_udp_frame(
     ident: u16,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let payload_len = parts.iter().map(|p| p.len()).sum::<usize>();
+    out.clear();
+    out.resize(FRAME_OVERHEAD, 0);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    fill_udp_headers(src, dst, ident, out)
+}
+
+/// Fills in the Ethernet, IPv4 and UDP headers of `frame` in place,
+/// checksums included. The first [`FRAME_OVERHEAD`] bytes of `frame`
+/// are header space and the rest is the UDP payload, so a writer that
+/// lays the payload down itself finishes its frame with this call.
+/// Nothing is written if the payload does not fit a UDP datagram.
+pub fn fill_udp_headers(
+    src: EndpointAddr,
+    dst: EndpointAddr,
+    ident: u16,
+    frame: &mut [u8],
+) -> Result<()> {
+    let payload_len = frame
+        .len()
+        .checked_sub(FRAME_OVERHEAD)
+        .ok_or(PacketError::Truncated {
+            layer: "udp",
+            need: FRAME_OVERHEAD,
+            have: frame.len(),
+        })?;
     let udp = UdpHeader::for_payload(src.port, dst.port, payload_len)?;
     let ip = Ipv4Header::for_payload(
         src.ip,
@@ -103,14 +130,9 @@ pub fn write_udp_frame(
         src: src.mac,
         ethertype: EtherType::Ipv4,
     };
-    out.clear();
-    out.resize(FRAME_OVERHEAD, 0);
-    for part in parts {
-        out.extend_from_slice(part);
-    }
-    let mut off = eth.write(out)?;
-    off += ip.write(&mut out[off..])?;
-    udp.write(src.ip, dst.ip, &mut out[off..])?;
+    let mut off = eth.write(frame)?;
+    off += ip.write(&mut frame[off..])?;
+    udp.write(src.ip, dst.ip, &mut frame[off..])?;
     Ok(())
 }
 
@@ -211,6 +233,24 @@ mod tests {
         write_udp_frame(src, dst, &[b"header", b"payload"], 9, &mut out).unwrap();
         assert_eq!(out, built);
         assert_eq!(out.capacity(), cap);
+    }
+
+    #[test]
+    fn headers_filled_in_place_equal_built_frame() {
+        let (src, dst) = pair();
+        let built = build_udp_frame(src, dst, b"payload", 3).unwrap();
+        let mut frame = vec![0xEE; FRAME_OVERHEAD];
+        frame.extend_from_slice(b"payload");
+        fill_udp_headers(src, dst, 3, &mut frame).unwrap();
+        assert_eq!(frame, built);
+        // Too short to hold the headers, or too long for a datagram:
+        // refused, and nothing written.
+        let mut short = vec![0xEE; FRAME_OVERHEAD - 1];
+        assert!(fill_udp_headers(src, dst, 3, &mut short).is_err());
+        assert!(short.iter().all(|&b| b == 0xEE));
+        let mut huge = vec![0xEE; FRAME_OVERHEAD + usize::from(u16::MAX)];
+        assert!(fill_udp_headers(src, dst, 3, &mut huge).is_err());
+        assert!(huge.iter().all(|&b| b == 0xEE));
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub mod udp;
 pub use buf::{BufPool, PktBuf};
 pub use eth::{EtherType, EthernetHeader, MacAddr};
 pub use frame::{
-    build_udp_frame, parse_udp_frame, parse_udp_frame_ref, write_udp_frame, UdpFrame, UdpFrameRef,
+    build_udp_frame, fill_udp_headers, parse_udp_frame, parse_udp_frame_ref, write_udp_frame,
+    UdpFrame, UdpFrameRef,
 };
 pub use ipv4::Ipv4Header;
 pub use rpcwire::{RpcHeader, RpcKind, RPC_HEADER_LEN};

@@ -262,6 +262,27 @@ fn get_varint(data: &[u8], off: &mut usize) -> Result<u64> {
     }
 }
 
+/// Bytes `v` takes as a varint.
+fn varint_len(v: u64) -> usize {
+    ((u64::BITS - (v | 1).leading_zeros()) as usize).div_ceil(7)
+}
+
+/// Appends the varint wire form of a lone `Bytes` argument of `len`
+/// bytes, minus the bytes: the field-1 length-delimited tag (`0x0a`),
+/// then `len` as a varint. [`VarintCodec`]'s encoding of
+/// `[Value::Bytes(b)]` under a `[Bytes]` signature is this prefix
+/// followed by `b`, so a writer that lays `b` down itself needs no
+/// [`Value`].
+pub fn put_bytes_arg_prefix(out: &mut Vec<u8>, len: usize) {
+    put_varint(out, 1 << 3 | WIRE_LEN);
+    put_varint(out, len as u64);
+}
+
+/// Bytes [`put_bytes_arg_prefix`] appends for a `len`-byte argument.
+pub fn bytes_arg_prefix_len(len: usize) -> usize {
+    1 + varint_len(len as u64)
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }

@@ -5,7 +5,7 @@
 
 use lauberhorn_pcie::iommu::IO_PAGE_SIZE;
 use lauberhorn_pcie::{Iommu, MsixTable};
-use lauberhorn_sim::SimRng;
+use lauberhorn_sim::{SimDuration, SimRng};
 
 #[test]
 fn translations_match_the_mapping() {
@@ -55,13 +55,33 @@ fn range_translation_covers_every_byte() {
         let pages = 8u64;
         io.map(0, 0x100_0000, pages * IO_PAGE_SIZE, true);
         let len = len.min(pages * IO_PAGE_SIZE - start_off);
-        let (segs, _) = io.translate_range(start_off, len, true).unwrap();
-        // Segments are contiguous in IOVA space and sum to len.
-        let total: u64 = segs.iter().map(|(_, l)| l).sum();
-        assert_eq!(total, len);
-        // No segment crosses a page boundary.
-        for (phys, l) in &segs {
-            assert!(phys % IO_PAGE_SIZE + l <= IO_PAGE_SIZE);
+        // A twin domain translates the same pieces one page at a time.
+        let mut twin = Iommu::new(16);
+        twin.map(0, 0x100_0000, pages * IO_PAGE_SIZE, true);
+        // Twice, so the second pass hits the IOTLB the first filled.
+        for _ in 0..2 {
+            let mut segs = Vec::new();
+            let lat = io
+                .translate_range(start_off, len, true, |phys, l| segs.push((phys, l)))
+                .unwrap();
+            // Segments are contiguous in IOVA space and sum to len.
+            let total: u64 = segs.iter().map(|(_, l)| l).sum();
+            assert_eq!(total, len);
+            // No segment crosses a page boundary.
+            for (phys, l) in &segs {
+                assert!(phys % IO_PAGE_SIZE + l <= IO_PAGE_SIZE);
+            }
+            // The range costs exactly its per-page translations.
+            let mut per_page = SimDuration::ZERO;
+            let mut iova = start_off;
+            for &(phys, l) in &segs {
+                let (p, t) = twin.translate(iova, l, true).unwrap();
+                assert_eq!(p, phys);
+                per_page += t;
+                iova += l;
+            }
+            assert_eq!(lat, per_page, "case {case}");
+            assert_eq!(io.stats(), twin.stats(), "case {case}");
         }
     }
 }

@@ -14,14 +14,20 @@ use std::collections::BTreeMap;
 
 use lauberhorn_packet::eth::ETH_HEADER_LEN;
 use lauberhorn_packet::frame::EndpointAddr;
-use lauberhorn_packet::PktBuf;
+use lauberhorn_packet::{BufPool, PktBuf, RpcHeader, RpcKind};
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
 use lauberhorn_sim::{AimdPacer, Histogram, SimDuration, SimRng, SimTime};
 
 use crate::report::Report;
 use crate::spec::{LoadMode, PayloadGen, WorkloadSpec};
 use crate::stack::{InFlight, ServerStack, StackCommon};
-use crate::wire::{build_request, RetryPolicy};
+use crate::wire::{write_request, RetryPolicy};
+
+/// Request frames the client keeps for reuse. Each sent frame is held
+/// by the stack until it reaches the NIC, and by its retransmit record
+/// until answered, so a few dozen cover the in-flight frames of every
+/// workload below saturation.
+const FRAME_POOL_CAP: usize = 64;
 
 /// Client-side events, interleaved with the stack's internal queue.
 #[derive(Debug)]
@@ -163,6 +169,7 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     let client_addr = EndpointAddr::host(2, 7000);
     let mut digest = RequestDigest::new();
     let mut next_request_id = 0u64;
+    let mut frames = BufPool::new(FRAME_POOL_CAP);
 
     // Fault/retry machinery: all `None`/empty on a clean run, in which
     // case no extra RNG stream is created and no extra event is ever
@@ -271,27 +278,46 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
                 let request_id = next_request_id;
                 next_request_id += 1;
                 let service = workload.mix.sample(&mut client_rng, now);
-                let payload: Vec<u8> = match &workload.payload {
-                    Some(PayloadGen::Script(f)) => f(request_id),
-                    Some(PayloadGen::Random(d)) => {
-                        let size = d.sample(&mut client_rng);
-                        (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
+                let (script, len) = match &workload.payload {
+                    Some(PayloadGen::Script(f)) => {
+                        let bytes = f(request_id);
+                        let len = bytes.len();
+                        (Some(bytes), len)
                     }
-                    None => {
-                        let size = workload.request_bytes.sample(&mut client_rng);
-                        (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
-                    }
+                    Some(PayloadGen::Random(d)) => (None, d.sample(&mut client_rng)),
+                    None => (None, workload.request_bytes.sample(&mut client_rng)),
                 };
-                digest.absorb_request(request_id, service, &payload);
-                let raw = build_request(
-                    client_addr,
-                    stack.server_addr(service),
-                    service,
-                    0,
+                // The payload is generated straight into a recycled
+                // frame, and digested where it lies.
+                let mut raw = frames.take();
+                let header = RpcHeader {
+                    kind: RpcKind::Request,
+                    service_id: service,
+                    method_id: 0,
                     request_id,
-                    &payload,
-                    0,
-                );
+                    payload_len: 0,
+                    cont_hint: 0,
+                };
+                let server = stack.server_addr(service);
+                let built =
+                    write_request(client_addr, server, header, len, raw.make_mut(), |out| {
+                        let start = out.len();
+                        match &script {
+                            Some(bytes) => out.extend_from_slice(bytes),
+                            None => out.extend((0..len).map(|i| (i as u8) ^ (request_id as u8))),
+                        }
+                        digest.absorb_request(
+                            request_id,
+                            service,
+                            out.get(start..).unwrap_or_default(),
+                        );
+                    });
+                if built.is_err() {
+                    // Send the empty frame the server's parse rejects.
+                    debug_assert!(false, "request frame builds");
+                    raw.make_mut().clear();
+                }
+                frames.keep(&raw);
                 if tenancy.is_some() {
                     *tenant_offered.entry(service).or_default() += 1;
                 }

@@ -6,9 +6,11 @@
 //! The wire adds a configurable one-way latency plus serialization at
 //! line rate.
 
-use lauberhorn_packet::frame::EndpointAddr;
-use lauberhorn_packet::marshal::{Codec, Signature, Value, VarintCodec};
-use lauberhorn_packet::{build_udp_frame, parse_udp_frame_ref, PktBuf, RpcHeader, RpcKind};
+use lauberhorn_packet::frame::{EndpointAddr, FRAME_OVERHEAD};
+use lauberhorn_packet::marshal::{bytes_arg_prefix_len, put_bytes_arg_prefix};
+use lauberhorn_packet::{
+    fill_udp_headers, parse_udp_frame_ref, PacketError, RpcHeader, RpcKind, RPC_HEADER_LEN,
+};
 use lauberhorn_sim::{SimDuration, SimTime};
 
 /// The network between client and server.
@@ -110,49 +112,47 @@ impl RetryPolicy {
     }
 }
 
-/// Builds a request frame for the uniform `\[Bytes\]` benchmark
-/// signature. The frame is built exactly once into a [`PktBuf`];
-/// every later holder (retransmit buffer, stack event queue, fault
-/// duplicates) shares it by reference count.
-pub fn build_request(
+/// Writes a request frame for the uniform `\[Bytes\]` benchmark
+/// signature into `out` in one pass, replacing its contents: header
+/// space, the RPC header, the argument's varint prefix, then the
+/// `payload_len` bytes that `payload` appends, before the Eth/IPv4/UDP
+/// headers and checksums are filled in place. The bytes equal the
+/// varint codec's encoding under [`RpcHeader::encode_message`] inside
+/// `build_udp_frame`. `header.payload_len` is set here; the IPv4
+/// identification is the request id's low 16 bits.
+///
+/// The exact frame length is reserved first, so a recycled buffer of
+/// that capacity is rewritten without allocating. `payload` always
+/// runs, even when the frame then fails to build (a payload too large
+/// for a UDP datagram, or `payload` appending the wrong length).
+pub(crate) fn write_request(
     client: EndpointAddr,
     server: EndpointAddr,
-    service_id: u16,
-    method_id: u16,
-    request_id: u64,
-    payload: &[u8],
-    cont_hint: u32,
-) -> PktBuf {
-    let sig = Signature::of(&[lauberhorn_packet::marshal::ArgType::Bytes]);
-    // A single Bytes argument always encodes; degrade to an empty frame
-    // (which the server-side checksum/parse path rejects) rather than
-    // panic if any of these infallible steps ever fails.
-    let args = match VarintCodec.encode(&sig, &[Value::Bytes(payload.to_vec())]) {
-        Ok(a) => a,
-        Err(_) => {
-            debug_assert!(false, "bytes arg always encodes");
-            return PktBuf::default();
-        }
+    header: RpcHeader,
+    payload_len: usize,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), PacketError> {
+    let args_len = bytes_arg_prefix_len(payload_len) + payload_len;
+    let frame_len = FRAME_OVERHEAD + RPC_HEADER_LEN + args_len;
+    out.clear();
+    out.reserve_exact(frame_len);
+    out.resize(FRAME_OVERHEAD + RPC_HEADER_LEN, 0);
+    put_bytes_arg_prefix(out, payload_len);
+    payload(out);
+    let bad_len = PacketError::BadField {
+        layer: "rpc",
+        field: "payload_len",
     };
-    let header = RpcHeader {
-        kind: RpcKind::Request,
-        service_id,
-        method_id,
-        request_id,
-        payload_len: args.len() as u32,
-        cont_hint,
-    };
-    let Ok(msg) = header.encode_message(&args) else {
-        debug_assert!(false, "header + args fit a UDP datagram");
-        return PktBuf::default();
-    };
-    match build_udp_frame(client, server, &msg, (request_id & 0xffff) as u16) {
-        Ok(frame) => PktBuf::from_vec(frame),
-        Err(_) => {
-            debug_assert!(false, "request frame builds");
-            PktBuf::default()
-        }
+    if out.len() != frame_len {
+        return Err(bad_len);
     }
+    let header = RpcHeader {
+        payload_len: u32::try_from(args_len).map_err(|_| bad_len)?,
+        ..header
+    };
+    header.write(out.get_mut(FRAME_OVERHEAD..).unwrap_or_default())?;
+    fill_udp_headers(client, server, header.request_id as u16, out)
 }
 
 /// Parses a response frame, returning `(request_id, payload_len)`.
@@ -196,17 +196,38 @@ impl RequestTimes {
 mod tests {
     use super::*;
 
-    #[test]
-    fn request_builds_and_parses_as_frame() {
-        let raw = build_request(
+    use lauberhorn_packet::build_udp_frame;
+    use lauberhorn_packet::marshal::{ArgType, Codec, Signature, Value, VarintCodec};
+    use lauberhorn_sim::SimRng;
+
+    fn request_header(service_id: u16, request_id: u64) -> RpcHeader {
+        RpcHeader {
+            kind: RpcKind::Request,
+            service_id,
+            method_id: 0,
+            request_id,
+            payload_len: 0,
+            cont_hint: 0,
+        }
+    }
+
+    fn ping() -> Vec<u8> {
+        let mut out = Vec::new();
+        write_request(
             EndpointAddr::host(1, 100),
             EndpointAddr::host(2, 200),
-            7,
-            0,
-            42,
-            b"ping",
-            0,
-        );
+            request_header(7, 42),
+            4,
+            &mut out,
+            |o| o.extend_from_slice(b"ping"),
+        )
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn request_builds_and_parses_as_frame() {
+        let raw = ping();
         let frame = parse_udp_frame_ref(&raw).unwrap();
         let (h, _) = RpcHeader::decode_message(frame.payload).unwrap();
         assert_eq!(h.kind, RpcKind::Request);
@@ -216,16 +237,79 @@ mod tests {
 
     #[test]
     fn response_parse_rejects_requests() {
-        let raw = build_request(
-            EndpointAddr::host(1, 100),
-            EndpointAddr::host(2, 200),
-            7,
-            0,
-            42,
-            b"ping",
-            0,
+        assert!(parse_response(&ping()).is_none());
+    }
+
+    /// The one-pass writer against the codec composition it replaces,
+    /// across every varint length boundary of the argument prefix.
+    #[test]
+    fn one_pass_frame_equals_the_codec_composition() {
+        let mut rng = SimRng::stream(15, "wire-reference");
+        let sig = Signature::of(&[ArgType::Bytes]);
+        // One buffer for every frame, as the driver's recycled ones.
+        let mut out = Vec::new();
+        for len in [0, 1, 127, 128, 129, 16383, 16384, 16385, 57_344] {
+            for _ in 0..3 {
+                let request_id = rng.gen_u64();
+                let service = rng.gen_u64() as u16;
+                let client = EndpointAddr::host(rng.gen_range(1..1000) as u32, 7000);
+                let server = EndpointAddr::host(2, 9000u16.wrapping_add(service));
+                let mut payload = vec![0; len];
+                rng.fill_bytes(&mut payload);
+                let header = request_header(service, request_id);
+                let args = VarintCodec
+                    .encode(&sig, &[Value::Bytes(payload.clone())])
+                    .unwrap();
+                let msg = RpcHeader {
+                    payload_len: args.len() as u32,
+                    ..header
+                }
+                .encode_message(&args)
+                .unwrap();
+                let reference = build_udp_frame(client, server, &msg, request_id as u16).unwrap();
+                write_request(client, server, header, len, &mut out, |o| {
+                    o.extend_from_slice(&payload)
+                })
+                .unwrap();
+                assert_eq!(out, reference, "payload of {len} bytes");
+                // Rewriting a frame of the same length reuses the bytes.
+                let at = out.as_ptr();
+                write_request(client, server, header, len, &mut out, |o| {
+                    o.extend_from_slice(&payload)
+                })
+                .unwrap();
+                assert_eq!(out.as_ptr(), at);
+                assert_eq!(out, reference);
+            }
+        }
+    }
+
+    /// The driver's request digest absorbs the payload inside
+    /// `payload`, so it must run even when the frame is refused.
+    #[test]
+    fn payload_runs_even_when_the_frame_cannot_be_built() {
+        let (client, server) = (EndpointAddr::host(1, 100), EndpointAddr::host(2, 200));
+        let mut out = Vec::new();
+        let mut appended = 0;
+        let too_big = usize::from(u16::MAX);
+        let r = write_request(
+            client,
+            server,
+            request_header(1, 1),
+            too_big,
+            &mut out,
+            |o| {
+                o.resize(o.len() + too_big, 1);
+                appended = too_big;
+            },
         );
-        assert!(parse_response(&raw).is_none());
+        assert!(r.is_err());
+        assert_eq!(appended, too_big);
+        // A payload of the wrong length is refused too.
+        let r = write_request(client, server, request_header(1, 2), 10, &mut out, |o| {
+            o.push(0)
+        });
+        assert!(r.is_err());
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Allocation budget of the Lauberhorn stack's data path. In steady
-//! state its event handling allocates about once per request — the
-//! buffer holding the request's dispatch-form arguments — whatever the
-//! traffic mix: cache lines are fixed-size values, NIC and endpoint
-//! transitions write into reused buffers, and response frames are
-//! built into a reused transmit buffer.
+//! Allocation budgets of the simulator's request path.
+//!
+//! In steady state a whole run allocates almost never per request on
+//! the bypass and kernel stacks, and about once on Lauberhorn — the
+//! buffer holding each request's dispatch-form arguments — whatever
+//! the traffic mix. Client request frames are written in one pass into
+//! recycled buffers, the DMA NIC validates frames in place, cache lines
+//! are fixed-size values, NIC and endpoint transitions write into
+//! reused buffers, and response frames are built into a reused
+//! transmit buffer.
 //!
 //! This binary installs its own counting allocator. It counts only
-//! allocations made on the current thread inside the stack's `step`
-//! and `inject_frame`, so neither the driver and client model nor the
-//! test harness's other threads are charged.
+//! allocations made on the current thread inside the counted region,
+//! so the test harness's other threads are not charged. The
+//! whole-run tests count all of `driver::run`; the step tests count
+//! only the Lauberhorn stack's `step` and `inject_frame`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,9 +22,11 @@ use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_rpc::stack::StackCommon;
 use lauberhorn_rpc::{
-    driver, LauberhornSim, Machine, MachineConfig, ServerStack, ServiceSpec, WorkloadSpec,
+    driver, BypassSim, KernelSim, LauberhornSim, Machine, MachineConfig, RetryPolicy, ServerStack,
+    ServiceSpec, WorkloadSpec,
 };
 use lauberhorn_sim::energy::CycleAccount;
+use lauberhorn_sim::fault::FaultPlan;
 use lauberhorn_sim::SimTime;
 use lauberhorn_workload::{DynamicMix, SizeDist};
 
@@ -114,15 +121,15 @@ impl<S: ServerStack> ServerStack for Counted<S> {
     }
 }
 
-/// Stack allocations per completed request over 50 ms of open Poisson
-/// load at 100 krps on the projected CXL server with 2 cores.
-fn allocs_per_request(services: usize, wl: WorkloadSpec) -> f64 {
+/// Lauberhorn stack allocations per completed request over 50 ms of
+/// `shape` on the projected CXL server with 2 cores.
+fn step_allocs_per_request(shape: Shape) -> f64 {
     let mut stack = Counted::<LauberhornSim>::build(
         MachineConfig::new(Machine::CxlProjected, 2),
-        ServiceSpec::uniform(services, 1000, 32),
+        ServiceSpec::uniform(shape.services(), 1000, 32),
     );
     ALLOCS.with(|n| n.set(0));
-    let report = driver::run(&mut stack, &wl);
+    let report = driver::run(&mut stack, &shape.spec(50));
     let allocs = ALLOCS.with(Cell::get);
     assert!(
         report.completed > 4_000,
@@ -134,15 +141,123 @@ fn allocs_per_request(services: usize, wl: WorkloadSpec) -> f64 {
 
 #[test]
 fn echo_requests_allocate_once() {
-    let wl = WorkloadSpec::open_poisson(100_000.0, 1, 0.0, SizeDist::Fixed { bytes: 64 }, 50, 1);
-    let per_req = allocs_per_request(1, wl);
+    let per_req = step_allocs_per_request(Shape::Echo);
     assert!(per_req <= 1.1, "{per_req:.3} allocations per request");
 }
 
 #[test]
 fn cloud_mix_requests_allocate_about_once() {
-    let mut wl = WorkloadSpec::open_poisson(100_000.0, 32, 0.99, SizeDist::CloudRpc, 50, 1);
-    wl.mix = DynamicMix::new(32, 0.99, 7, 1000);
-    let per_req = allocs_per_request(32, wl);
+    let per_req = step_allocs_per_request(Shape::CloudMix);
     assert!(per_req <= 1.5, "{per_req:.3} allocations per request");
+}
+
+/// A traffic shape: open Poisson load at 100 krps, as in the
+/// repository benchmark's workloads.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// One service, 64 B requests.
+    Echo,
+    /// 32 services, rotating Zipf popularity, cloud RPC sizes.
+    CloudMix,
+    /// `Echo` with 1 % wire loss each way and client retransmission.
+    Lossy,
+}
+
+impl Shape {
+    fn services(self) -> usize {
+        match self {
+            Shape::CloudMix => 32,
+            Shape::Echo | Shape::Lossy => 1,
+        }
+    }
+
+    fn spec(self, ms: u64) -> WorkloadSpec {
+        let echo =
+            || WorkloadSpec::open_poisson(100_000.0, 1, 0.0, SizeDist::Fixed { bytes: 64 }, ms, 1);
+        match self {
+            Shape::Echo => echo(),
+            Shape::CloudMix => {
+                let mut wl =
+                    WorkloadSpec::open_poisson(100_000.0, 32, 0.99, SizeDist::CloudRpc, ms, 1);
+                wl.mix = DynamicMix::new(32, 0.99, 7, 1000);
+                wl
+            }
+            Shape::Lossy => echo()
+                .with_faults(FaultPlan::wire_loss(0.01))
+                .with_retry(RetryPolicy::same_rack()),
+        }
+    }
+}
+
+/// Allocations and completed requests of one whole `driver::run` of
+/// `S` with 2 cores over `ms` of simulated load.
+fn whole_run<S: ServerStack>(machine: Machine, shape: Shape, ms: u64) -> (u64, u64) {
+    let mut stack = S::build(
+        MachineConfig::new(machine, 2),
+        ServiceSpec::uniform(shape.services(), 1000, 32),
+    );
+    let wl = shape.spec(ms);
+    ALLOCS.with(|n| n.set(0));
+    let report = counted(|| driver::run(&mut stack, &wl));
+    (ALLOCS.with(Cell::get), report.completed)
+}
+
+/// Allocations per request in steady state: what a 100 ms run makes
+/// beyond a 50 ms one, per extra completed request, so one-time set-up
+/// and the report cancel.
+fn steady_allocs_per_request<S: ServerStack>(machine: Machine, shape: Shape) -> f64 {
+    let (short_allocs, short_done) = whole_run::<S>(machine, shape, 50);
+    let (long_allocs, long_done) = whole_run::<S>(machine, shape, 100);
+    assert!(
+        long_done > short_done + 4_000,
+        "{shape:?}: {short_done} then {long_done} completed"
+    );
+    (long_allocs as f64 - short_allocs as f64) / (long_done - short_done) as f64
+}
+
+/// Fails unless `S` stays within `bounds` on every shape.
+fn check_whole_runs<S: ServerStack>(machine: Machine, bounds: [(Shape, f64); 3]) {
+    for (shape, bound) in bounds {
+        let per_req = steady_allocs_per_request::<S>(machine, shape);
+        assert!(
+            per_req <= bound,
+            "{shape:?}: {per_req:.3} allocations per request, budget {bound}"
+        );
+    }
+}
+
+#[test]
+fn bypass_runs_allocate_almost_never() {
+    check_whole_runs::<BypassSim>(
+        Machine::PcPcie,
+        [
+            (Shape::Echo, 0.05),
+            (Shape::Lossy, 0.05),
+            (Shape::CloudMix, 0.25),
+        ],
+    );
+}
+
+#[test]
+fn kernel_runs_allocate_almost_never() {
+    check_whole_runs::<KernelSim>(
+        Machine::PcPcie,
+        [
+            (Shape::Echo, 0.05),
+            (Shape::Lossy, 0.05),
+            (Shape::CloudMix, 0.25),
+        ],
+    );
+}
+
+#[test]
+fn lauberhorn_runs_allocate_about_once() {
+    check_whole_runs::<LauberhornSim>(
+        Machine::CxlProjected,
+        [
+            (Shape::Echo, 1.05),
+            (Shape::Lossy, 1.05),
+            (Shape::CloudMix, 1.25),
+        ],
+    );
 }
