@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use lauberhorn_sim::SimDuration;
+use lauberhorn_sim::{IdBuildHasher, SimDuration};
 
 use crate::fabric::FabricModel;
 use crate::line::{CacheId, Line, LineAddr, LineState, MAX_LINE_SIZE};
@@ -176,8 +176,8 @@ pub struct CoherentSystem {
     device_limit: u64,
     l1_latency: SimDuration,
     dram_latency: SimDuration,
-    dirs: HashMap<LineAddr, DirEntry>,
-    pending: HashMap<FillToken, PendingFill>,
+    dirs: HashMap<LineAddr, DirEntry, IdBuildHasher>,
+    pending: HashMap<FillToken, PendingFill, IdBuildHasher>,
     next_token: u64,
     stats: CoherenceStats,
 }
@@ -212,8 +212,8 @@ impl CoherentSystem {
             // ~4 cycles at 2 GHz.
             l1_latency: SimDuration::from_ns(2),
             dram_latency: SimDuration::from_ns(60),
-            dirs: HashMap::new(),
-            pending: HashMap::new(),
+            dirs: HashMap::default(),
+            pending: HashMap::default(),
             next_token: 0,
             stats: CoherenceStats::default(),
         }

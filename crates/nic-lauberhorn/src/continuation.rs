@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use lauberhorn_os::ProcessId;
-use lauberhorn_sim::SimDuration;
+use lauberhorn_sim::{IdBuildHasher, SimDuration};
 
 use crate::endpoint::EndpointId;
 
@@ -55,7 +55,7 @@ impl std::error::Error for ContinuationError {}
 /// The NIC-resident continuation table.
 #[derive(Debug)]
 pub struct ContinuationTable {
-    slots: HashMap<u32, Continuation>,
+    slots: HashMap<u32, Continuation, IdBuildHasher>,
     capacity: usize,
     next_hint: u32,
     created: u64,
@@ -66,7 +66,7 @@ impl ContinuationTable {
     /// Creates a table with `capacity` slots.
     pub fn new(capacity: usize) -> Self {
         ContinuationTable {
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             capacity,
             next_hint: 1, // Hint 0 means "no continuation".
             created: 0,

@@ -9,6 +9,7 @@ use std::collections::{HashMap, HashSet};
 
 use lauberhorn_os::ProcessId;
 use lauberhorn_packet::marshal::Signature;
+use lauberhorn_sim::IdBuildHasher;
 
 use crate::endpoint::EndpointId;
 
@@ -69,9 +70,9 @@ impl std::error::Error for DemuxError {}
 /// rather than silently dispatching through a flipped pointer.
 #[derive(Debug, Default)]
 pub struct DemuxTable {
-    services: HashMap<u16, ServiceEntry>,
+    services: HashMap<u16, ServiceEntry, IdBuildHasher>,
     /// Entries whose ECC check currently fails.
-    faulted: HashSet<u16>,
+    faulted: HashSet<u16, IdBuildHasher>,
 }
 
 impl DemuxTable {

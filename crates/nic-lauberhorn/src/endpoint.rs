@@ -81,6 +81,9 @@ pub enum Effect {
         line: LineAddr,
         /// Response routing context.
         ctx: RequestCtx,
+        /// The collected request's dispatch-form arguments, handed back
+        /// so the NIC can reuse the buffer.
+        args: Vec<u8>,
     },
     /// A queued request was already past its deadline budget when the
     /// core came to take it: shed instead of delivered (serving it
@@ -214,8 +217,8 @@ pub struct Endpoint {
     /// Max ready-queue length before rejecting.
     queue_cap: usize,
     /// Dispatch-form arguments of the request in service: AUX loads
-    /// are answered by slicing them ([`dispatch::aux_line`]). Released
-    /// when its response is collected.
+    /// are answered by slicing them ([`dispatch::aux_line`]). Handed
+    /// back to the NIC when its response is collected.
     args: Vec<u8>,
     /// Deliver RETIRE at the next opportunity.
     retire_pending: bool,
@@ -379,10 +382,10 @@ impl Endpoint {
                 if let Some((line_idx, ctx)) = self.outstanding.take() {
                     if line_idx != i {
                         self.stats.responses += 1;
-                        self.args = Vec::new();
                         out.push(Effect::CollectResponse {
                             line: self.layout.ctrl(line_idx),
                             ctx,
+                            args: std::mem::take(&mut self.args),
                         });
                     } else {
                         // A re-load of the same line (after TRYAGAIN the
@@ -532,12 +535,16 @@ impl Endpoint {
     /// core that took a request on the kernel endpoint parks next on the
     /// process's own endpoint, so the NIC treats that first foreign load
     /// as the completion signal and collects the kernel endpoint's
-    /// response through this method.
-    pub fn take_outstanding(&mut self) -> Option<(LineAddr, RequestCtx)> {
+    /// response through this method. The request's argument buffer
+    /// comes back with it, as in [`Effect::CollectResponse`].
+    pub fn take_outstanding(&mut self) -> Option<(LineAddr, RequestCtx, Vec<u8>)> {
         let (line_idx, ctx) = self.outstanding.take()?;
         self.stats.responses += 1;
-        self.args = Vec::new();
-        Some((self.layout.ctrl(line_idx), ctx))
+        Some((
+            self.layout.ctrl(line_idx),
+            ctx,
+            std::mem::take(&mut self.args),
+        ))
     }
 
     /// Whether a response awaits collection.
@@ -728,7 +735,7 @@ mod tests {
         let collect = fx
             .iter()
             .find_map(|f| match f {
-                Effect::CollectResponse { line, ctx } => Some((line, ctx)),
+                Effect::CollectResponse { line, ctx, .. } => Some((line, ctx)),
                 _ => None,
             })
             .expect("collects the response");
@@ -987,7 +994,7 @@ mod tests {
         let collect = fx
             .iter()
             .find_map(|f| match f {
-                Effect::CollectResponse { line, ctx } => Some((line, ctx)),
+                Effect::CollectResponse { line, ctx, .. } => Some((line, ctx)),
                 _ => None,
             })
             .expect("restored endpoint collects the pre-fault response");

@@ -7,7 +7,8 @@
 //! * [`LauberhornNic::on_core_load`] — a core's load on a device-homed
 //!   line was parked by the coherence system,
 //! * [`LauberhornNic::on_request_frame`] — a frame arrived from the
-//!   wire,
+//!   wire ([`LauberhornNic::on_parsed_frame`] when the caller already
+//!   parsed it),
 //! * [`LauberhornNic::on_timeout`] — a TRYAGAIN timer fired.
 //!
 //! Each appends [`NicAction`]s — timestamped instructions for the
@@ -25,10 +26,11 @@ use lauberhorn_os::ProcessId;
 use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::marshal::{append_dispatch_form, dispatch_form_len};
 use lauberhorn_packet::{
-    parse_udp_frame_ref, write_udp_frame, PacketError, RpcHeader, RpcKind, RPC_HEADER_LEN,
+    parse_udp_frame_ref, write_udp_frame, PacketError, RpcHeader, RpcKind, UdpFrameRef,
+    RPC_HEADER_LEN,
 };
 use lauberhorn_sim::{
-    AdmissionCtl, OverloadConfig, ShedReason, SimDuration, SimTime, TenancyConfig,
+    AdmissionCtl, IdBuildHasher, OverloadConfig, ShedReason, SimDuration, SimTime, TenancyConfig,
 };
 
 use crate::continuation::ContinuationTable;
@@ -40,6 +42,36 @@ use crate::endpoint::{
 use crate::large::LargeTransferModel;
 use crate::sched_mirror::SchedMirror;
 use crate::tenancy::{RateLimited, TenantPipeline};
+
+/// Most argument buffers [`ArgPool`] keeps.
+const ARG_POOL_LEN: usize = 8;
+/// Largest buffer, in bytes of capacity, [`ArgPool`] keeps: with
+/// [`ARG_POOL_LEN`], the pool holds at most 64 KiB.
+const ARG_POOL_MAX_CAP: usize = 8 << 10;
+
+/// Dispatch-form argument buffers handed back at response collection,
+/// reused last-in first-out for the next requests' arguments.
+#[derive(Debug, Default)]
+struct ArgPool(Vec<Vec<u8>>);
+
+impl ArgPool {
+    /// An empty buffer with room for `len` bytes, reused when the pool
+    /// holds one.
+    fn take(&mut self, len: usize) -> Vec<u8> {
+        let mut buf = self.0.pop().unwrap_or_default();
+        buf.reserve_exact(len);
+        buf
+    }
+
+    /// Keeps `buf` for reuse, unless the pool is full or the buffer is
+    /// empty or oversized.
+    fn put(&mut self, mut buf: Vec<u8>) {
+        if self.0.len() < ARG_POOL_LEN && (1..=ARG_POOL_MAX_CAP).contains(&buf.capacity()) {
+            buf.clear();
+            self.0.push(buf);
+        }
+    }
+}
 
 /// Static configuration.
 #[derive(Debug, Clone)]
@@ -321,20 +353,18 @@ pub struct NicSalvage {
 pub struct LauberhornNic {
     cfg: LauberhornNicConfig,
     demux: DemuxTable,
-    endpoints: HashMap<EndpointId, Endpoint>,
-    modes: HashMap<EndpointId, EpMode>,
-    /// Endpoint lookup by base address (endpoints are allocated
-    /// contiguously, each `total_lines` long).
-    addr_index: Vec<(u64, u64, EndpointId)>,
-    parked_core: HashMap<EndpointId, usize>,
+    /// Endpoint `i` covers the `endpoint_span()` bytes at
+    /// `endpoint_base(i)`; a restored endpoint keeps its id and base.
+    endpoints: HashMap<EndpointId, Endpoint, IdBuildHasher>,
+    modes: HashMap<EndpointId, EpMode, IdBuildHasher>,
+    parked_core: HashMap<EndpointId, usize, IdBuildHasher>,
     /// Core → endpoint holding an uncollected response that core
     /// produced (for cross-endpoint collection, Figure 5 lifecycle).
-    pending_response_by_core: HashMap<usize, EndpointId>,
+    pending_response_by_core: HashMap<usize, EndpointId, IdBuildHasher>,
     mirror: SchedMirror,
     conts: ContinuationTable,
     kernel_eps: Vec<Option<EndpointId>>,
     next_ep: u32,
-    alloc_cursor: u64,
     dma_cursor: u64,
     stats: LbNicStats,
     /// Overload control, when armed ([`LauberhornNic::arm_overload`]).
@@ -345,20 +375,20 @@ pub struct LauberhornNic {
     /// Effects of the endpoint transition in progress; always empty
     /// between calls, kept only to reuse its capacity.
     fx: Vec<Effect>,
+    /// Argument buffers of collected requests, for reuse.
+    arg_pool: ArgPool,
 }
 
 impl LauberhornNic {
     /// Creates the NIC for a machine with `num_cores` cores.
     pub fn new(cfg: LauberhornNicConfig, num_cores: usize) -> Self {
         LauberhornNic {
-            alloc_cursor: cfg.device_base,
             dma_cursor: cfg.dma_buffer_base,
             demux: DemuxTable::new(),
-            endpoints: HashMap::new(),
-            modes: HashMap::new(),
-            addr_index: Vec::new(),
-            parked_core: HashMap::new(),
-            pending_response_by_core: HashMap::new(),
+            endpoints: HashMap::default(),
+            modes: HashMap::default(),
+            parked_core: HashMap::default(),
+            pending_response_by_core: HashMap::default(),
             mirror: SchedMirror::new(num_cores),
             conts: ContinuationTable::new(4096),
             kernel_eps: vec![None; num_cores],
@@ -367,6 +397,7 @@ impl LauberhornNic {
             admission: None,
             tenancy: None,
             fx: Vec::new(),
+            arg_pool: ArgPool::default(),
             cfg,
         }
     }
@@ -494,21 +525,30 @@ impl LauberhornNic {
 
     /// End of the device-homed range currently allocated.
     pub fn device_limit(&self) -> u64 {
-        self.alloc_cursor.max(self.cfg.device_base + 1)
+        self.endpoint_base(EndpointId(self.next_ep))
+            .max(self.cfg.device_base + 1)
+    }
+
+    /// Bytes of device address space each endpoint covers: two CONTROL
+    /// lines and the AUX lines.
+    fn endpoint_span(&self) -> u64 {
+        ((2 + self.cfg.n_aux) * self.cfg.line_size) as u64
+    }
+
+    /// Where endpoint `id` starts: endpoints are carved from
+    /// `device_base` in id order.
+    fn endpoint_base(&self, id: EndpointId) -> u64 {
+        self.cfg.device_base + id.0 as u64 * self.endpoint_span()
     }
 
     fn alloc_endpoint(&mut self, process: ProcessId, mode: EpMode) -> (EndpointId, EndpointLayout) {
         let id = EndpointId(self.next_ep);
         self.next_ep += 1;
         let layout = EndpointLayout {
-            base: LineAddr::new(self.alloc_cursor, self.cfg.line_size),
+            base: LineAddr::new(self.endpoint_base(id), self.cfg.line_size),
             line_size: self.cfg.line_size,
             n_aux: self.cfg.n_aux,
         };
-        let span = (layout.total_lines() * self.cfg.line_size) as u64;
-        self.addr_index
-            .push((self.alloc_cursor, self.alloc_cursor + span, id));
-        self.alloc_cursor += span;
         let mut ep = Endpoint::with_timeout(
             id,
             process,
@@ -541,12 +581,10 @@ impl LauberhornNic {
 
     /// The endpoint covering `addr`, with the line's role.
     pub fn endpoint_at(&self, addr: LineAddr) -> Option<(EndpointId, LineRole)> {
-        let (_, _, id) = self
-            .addr_index
-            .iter()
-            .find(|(base, limit, _)| (*base..*limit).contains(&addr.0))?;
-        let ep = self.endpoints.get(id)?;
-        ep.layout.role_of(addr).map(|r| (*id, r))
+        let offset = addr.0.checked_sub(self.cfg.device_base)?;
+        let id = EndpointId(u32::try_from(offset.checked_div(self.endpoint_span())?).ok()?);
+        let ep = self.endpoints.get(&id)?;
+        ep.layout.role_of(addr).map(|r| (id, r))
     }
 
     /// Read access to an endpoint (tests/experiments).
@@ -653,7 +691,8 @@ impl LauberhornNic {
                     generation,
                     at: deadline,
                 }),
-                Effect::CollectResponse { line, ctx } => {
+                Effect::CollectResponse { line, ctx, args } => {
+                    self.arg_pool.put(args);
                     self.stats.responses_tx += 1;
                     if let Some(core) = loading_core {
                         self.pending_response_by_core.remove(&core);
@@ -761,7 +800,8 @@ impl LauberhornNic {
             let prev_is_kernel = matches!(self.modes.get(&prev), Some(EpMode::Kernel { .. }));
             if prev != id && prev_is_kernel {
                 if let Some(pep) = self.endpoints.get_mut(&prev) {
-                    if let Some((line, ctx)) = pep.take_outstanding() {
+                    if let Some((line, ctx, args)) = pep.take_outstanding() {
+                        self.arg_pool.put(args);
                         self.stats.responses_tx += 1;
                         out.push(NicAction::CollectAndTransmit { line, ctx, at });
                     }
@@ -926,6 +966,18 @@ impl LauberhornNic {
         let Ok(frame) = parse_udp_frame_ref(raw) else {
             return self.drop_frame(DropReason::BadFrame, None, out);
         };
+        self.on_parsed_frame(now, raw, &frame, out);
+    }
+
+    /// A frame arrives from the wire at `now`, already parsed and
+    /// validated by the caller: `frame` borrows from `raw`.
+    pub fn on_parsed_frame(
+        &mut self,
+        now: SimTime,
+        raw: &[u8],
+        frame: &UdpFrameRef<'_>,
+        out: &mut Vec<NicAction>,
+    ) {
         let Ok((header, wire_payload)) = RpcHeader::decode_message(frame.payload) else {
             return self.drop_frame(DropReason::BadRpcHeader, None, out);
         };
@@ -1117,10 +1169,12 @@ impl LauberhornNic {
             let buffer = self.dma_cursor;
             self.dma_cursor += (arg_len as u64).div_ceil(4096) * 4096;
             t += self.cfg.transfer.dma_time(arg_len);
-            let descriptor = [buffer.to_le_bytes(), (arg_len as u64).to_le_bytes()].concat();
+            let mut descriptor = self.arg_pool.take(16);
+            descriptor.extend_from_slice(&buffer.to_le_bytes());
+            descriptor.extend_from_slice(&(arg_len as u64).to_le_bytes());
             (DispatchKind::DmaDescriptor, descriptor)
         } else {
-            let mut args = Vec::with_capacity(arg_len);
+            let mut args = self.arg_pool.take(arg_len);
             if append_dispatch_form(&method.signature, wire_payload, &mut args).is_err() {
                 // The sizing pass has already accepted these bytes.
                 return self.drop_frame(DropReason::Malformed, Some(rid), out);
@@ -1429,10 +1483,10 @@ impl LauberhornNic {
     /// Full NIC reset: the kernel's recovery handler salvages all
     /// fabric-recoverable state, then every device table is cleared.
     ///
-    /// Endpoint ids, the address allocator and the lifetime counters
-    /// survive (ids and addresses are reconstructed identically from
-    /// the shadow registry; counters are a metrics surface, not device
-    /// state). Everything else — demux entries, endpoints, the
+    /// The endpoint id allocator, which also places endpoint addresses,
+    /// and the lifetime counters survive (ids and addresses are
+    /// reconstructed identically from the shadow registry; counters are
+    /// a metrics surface, not device state). Everything else — demux entries, endpoints, the
     /// scheduler mirror's views, continuations, parked-core
     /// bookkeeping — is gone until reconstruction.
     pub fn reset(&mut self) -> NicSalvage {
@@ -1466,7 +1520,6 @@ impl LauberhornNic {
         self.demux = DemuxTable::new();
         self.endpoints.clear();
         self.modes.clear();
-        self.addr_index.clear();
         self.parked_core.clear();
         self.pending_response_by_core.clear();
         self.mirror.clear_views();
@@ -1486,9 +1539,11 @@ impl LauberhornNic {
         layout: EndpointLayout,
         kernel_core: Option<usize>,
     ) {
-        let span = (layout.total_lines() * self.cfg.line_size) as u64;
-        self.addr_index
-            .push((layout.base.0, layout.base.0 + span, id));
+        debug_assert_eq!(
+            layout.base.0,
+            self.endpoint_base(id),
+            "a restored endpoint keeps its id and base"
+        );
         let mut ep = Endpoint::with_timeout(
             id,
             process,
@@ -1864,6 +1919,19 @@ mod tests {
         assert_eq!(n.endpoint_at(l1.ctrl(1)), Some((ep1, LineRole::Control(1))));
         assert_eq!(n.endpoint_at(l1.aux(0)), Some((ep1, LineRole::Aux(0))));
         assert_eq!(n.endpoint_at(LineAddr(0x9_0000_0000)), None);
+        // Below the device range, and the first line past the last
+        // endpoint.
+        let base = n.config().device_base;
+        let line = n.config().line_size as u64;
+        assert_eq!(n.endpoint_at(LineAddr(base - line)), None);
+        let past = l1.aux(l1.n_aux - 1).0 + line;
+        assert_eq!(past, n.device_limit());
+        assert_eq!(n.endpoint_at(LineAddr(past)), None);
+        // After a reset only restored endpoints resolve again.
+        n.reset();
+        n.restore_endpoint(ep1, ProcessId(11), l1, None);
+        assert_eq!(n.endpoint_at(l0.ctrl(0)), None);
+        assert_eq!(n.endpoint_at(l1.ctrl(0)), Some((ep1, LineRole::Control(0))));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use lauberhorn_sim::{MetricsRegistry, SimDuration};
+use lauberhorn_sim::{IdBuildHasher, MetricsRegistry, SimDuration};
 
 use crate::proc::{ProcessId, ThreadId, ThreadInfo, ThreadState};
 
@@ -95,7 +95,7 @@ const WAKEUP_PREEMPT_GRANULARITY: u64 = SimDuration::from_us(500).as_ps();
 #[derive(Debug)]
 pub struct OsScheduler {
     cores: Vec<Option<ThreadId>>,
-    threads: HashMap<ThreadId, ThreadInfo>,
+    threads: HashMap<ThreadId, ThreadInfo, IdBuildHasher>,
     queues: Vec<BTreeSet<(u64, ThreadId)>>,
     min_vruntime: Vec<u64>,
     stats: SchedStats,
@@ -108,7 +108,7 @@ impl OsScheduler {
         assert!(num_cores > 0, "scheduler needs at least one core");
         OsScheduler {
             cores: vec![None; num_cores],
-            threads: HashMap::new(),
+            threads: HashMap::default(),
             queues: vec![BTreeSet::new(); num_cores],
             min_vruntime: vec![0; num_cores],
             stats: SchedStats::default(),

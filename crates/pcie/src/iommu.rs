@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use lauberhorn_sim::SimDuration;
+use lauberhorn_sim::{IdBuildHasher, SimDuration};
 
 /// Page size used by the I/O page tables.
 pub const IO_PAGE_SIZE: u64 = 4096;
@@ -66,8 +66,9 @@ struct PageEntry {
 /// An IOMMU translation domain for one device.
 #[derive(Debug)]
 pub struct Iommu {
-    pages: HashMap<u64, PageEntry>, // Keyed by IOVA page number.
-    iotlb: Vec<u64>,                // LRU queue of page numbers, most recent last.
+    /// Keyed by IOVA page number.
+    pages: HashMap<u64, PageEntry, IdBuildHasher>,
+    iotlb: Vec<u64>, // LRU queue of page numbers, most recent last.
     iotlb_capacity: usize,
     walk_latency: SimDuration,
     hit_latency: SimDuration,
@@ -84,7 +85,7 @@ impl Iommu {
     /// Creates a domain with an IOTLB of `iotlb_capacity` entries.
     pub fn new(iotlb_capacity: usize) -> Self {
         Iommu {
-            pages: HashMap::new(),
+            pages: HashMap::default(),
             iotlb: Vec::new(),
             iotlb_capacity,
             // A 2-level I/O page walk: two dependent DRAM accesses.
@@ -104,6 +105,9 @@ impl Iommu {
         assert!(iova.is_multiple_of(IO_PAGE_SIZE), "iova not page aligned");
         assert!(phys.is_multiple_of(IO_PAGE_SIZE), "phys not page aligned");
         let pages = len.div_ceil(IO_PAGE_SIZE);
+        // One allocation for a large mapping instead of a rehash at
+        // every doubling.
+        self.pages.reserve(pages as usize);
         for i in 0..pages {
             self.pages.insert(
                 iova / IO_PAGE_SIZE + i,

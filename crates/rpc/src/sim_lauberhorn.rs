@@ -1368,11 +1368,11 @@ impl ServerStack for LauberhornSim {
                 self.common.note_arrival(request_id, now);
                 // The NIC's line-rate parser checks the real IPv4/UDP
                 // checksums: a corrupted frame dies here, before any
-                // endpoint state is touched.
-                if lauberhorn_packet::parse_udp_frame_ref(&raw).is_err() {
+                // endpoint state is touched. The NIC reuses this parse.
+                let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
                     self.common.reject_corrupt(request_id, now);
                     return;
-                }
+                };
                 // Degraded mode: a reset NIC asserts link-level flow
                 // control, so frames pause at the switch instead of
                 // dropping; they replay once the device is rebuilt.
@@ -1388,7 +1388,7 @@ impl ServerStack for LauberhornSim {
                 if self.common.rx_gate(request_id, now) == crate::stack::RxGate::Duplicate {
                     return;
                 }
-                self.nic_step(now, |nic, out| nic.on_request_frame(now, &raw, out));
+                self.nic_step(now, |nic, out| nic.on_parsed_frame(now, &raw, &frame, out));
             }
             Ev::DoCompleteFill { token, line } => {
                 match self.coh.complete_fill(token, self.lines.get(line)) {
@@ -1466,14 +1466,14 @@ impl ServerStack for LauberhornSim {
             }
             Ev::ReplayFrame { raw, request_id } => {
                 self.recovery.replayed += 1;
-                if lauberhorn_packet::parse_udp_frame_ref(&raw).is_err() {
+                let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
                     self.common.reject_corrupt(request_id, now);
                     return;
-                }
+                };
                 if self.common.rx_gate(request_id, now) == crate::stack::RxGate::Duplicate {
                     return;
                 }
-                self.nic_step(now, |nic, out| nic.on_request_frame(now, &raw, out));
+                self.nic_step(now, |nic, out| nic.on_parsed_frame(now, &raw, &frame, out));
             }
             Ev::PipelinePump => {
                 if self.next_pump == Some(now) {

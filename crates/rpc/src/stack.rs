@@ -17,7 +17,9 @@ use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::CycleAccount;
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
 use lauberhorn_sim::flightrec::FlightRecorder;
-use lauberhorn_sim::{EventQueue, SimDuration, SimRng, SimTime, SpanId, SpanTracer, Stage};
+use lauberhorn_sim::{
+    EventQueue, IdBuildHasher, SimDuration, SimRng, SimTime, SpanId, SpanTracer, Stage,
+};
 
 use crate::driver::ClientEv;
 use crate::report::MetricsCollector;
@@ -228,8 +230,9 @@ pub struct StackCommon {
     pub rng: SimRng,
     /// Accumulating run metrics.
     pub metrics: MetricsCollector,
-    /// One record per in-flight request.
-    pub(crate) in_flight: BTreeMap<u64, InFlight>,
+    /// One record per in-flight request, by request id.
+    // lint:allow(unordered-collection): looked up by request id and never iterated
+    pub(crate) in_flight: std::collections::HashMap<u64, InFlight, IdBuildHasher>,
     /// Load generation stops here.
     pub end_of_load: SimTime,
     /// Absolute simulation cutoff (`end_of_load` + drain window).
@@ -277,7 +280,7 @@ impl StackCommon {
             wire,
             rng: SimRng::root(0),
             metrics: MetricsCollector::default(),
-            in_flight: BTreeMap::new(),
+            in_flight: Default::default(),
             end_of_load: SimTime::ZERO,
             hard_end: SimTime::ZERO,
             client_q: EventQueue::new(),

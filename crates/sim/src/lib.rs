@@ -19,6 +19,7 @@ pub mod critpath;
 pub mod energy;
 pub mod fault;
 pub mod flightrec;
+pub mod hash;
 pub mod metrics;
 pub mod overload;
 pub mod queue;
@@ -37,6 +38,7 @@ pub use fault::{
     TenantFaultSpec,
 };
 pub use flightrec::{FlightRecorder, P2Quantile, SpanTree};
+pub use hash::{IdBuildHasher, IdHasher};
 pub use metrics::MetricsRegistry;
 pub use overload::{load_hint, AdmissionCtl, AimdPacer, OverloadConfig, ShedReason};
 pub use queue::EventQueue;

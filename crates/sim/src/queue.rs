@@ -116,6 +116,12 @@ pub struct EventQueue<E> {
     /// The wheel cursor: every event still in the wheel or calendar
     /// has a tick `>= cur_tick`.
     cur_tick: u64,
+    /// A lower bound on the tick of every event in the wheel and the
+    /// calendar (`u64::MAX` when both are empty). [`EventQueue::place`]
+    /// lowers it and each full scan in [`EventQueue::refill`] resets it
+    /// to the smallest candidate, so a ready head below it is the
+    /// global minimum without rescanning the levels.
+    min_tick: u64,
     next_seq: u64,
     now: SimTime,
     live: u64,
@@ -145,6 +151,7 @@ impl<E> EventQueue<E> {
             overflow: BTreeMap::new(),
             ready: VecDeque::new(),
             cur_tick: 0,
+            min_tick: u64::MAX,
             next_seq: 0,
             now: SimTime::ZERO,
             live: 0,
@@ -229,6 +236,7 @@ impl<E> EventQueue<E> {
     /// cursor's window, so cascades strictly descend and terminate.
     fn place(&mut self, idx: u32, tick: u64) {
         debug_assert!(tick > self.cur_tick, "wheel placement behind cursor");
+        self.min_tick = self.min_tick.min(tick);
         let mut level = 0;
         while level < LEVELS
             && (tick >> (SLOT_BITS * (level as u32 + 1)))
@@ -374,6 +382,9 @@ impl<E> EventQueue<E> {
     /// the global `(time, seq)` minimum: every wheel/calendar slot
     /// whose lower-bound tick could still precede (or tie) the ready
     /// head is drained or cascaded first.
+    ///
+    /// Returns at once while the ready head's tick is below `min_tick`:
+    /// the driver peeks far more often than the head changes.
     fn refill(&mut self) {
         loop {
             let ready_tick = self
@@ -381,6 +392,9 @@ impl<E> EventQueue<E> {
                 .front()
                 .and_then(|&i| self.nodes.get(i as usize))
                 .map(|n| tick_of(n.at));
+            if ready_tick.is_some_and(|rt| rt < self.min_tick) {
+                return;
+            }
             // Min candidate across levels (high levels first, so ties
             // cascade before a finer level drains) and the calendar.
             let mut best: Option<(u64, usize, usize)> = None; // (tick, level, slot)
@@ -399,8 +413,10 @@ impl<E> EventQueue<E> {
                 best.map(|(b, _, _)| b)
             };
             let Some(cand) = min_cand else {
+                self.min_tick = u64::MAX;
                 return; // Wheel and calendar empty: ready is all there is.
             };
+            self.min_tick = cand;
             if ready_tick.is_some_and(|rt| rt < cand) {
                 return; // Ready head strictly precedes anything queued.
             }

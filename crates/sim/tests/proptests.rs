@@ -66,8 +66,10 @@ fn timer_wheel_matches_reference_queue_event_for_event() {
     // exact (time, insertion-order) stream of the straightforward
     // binary-heap reference implementation under randomized interleaved
     // schedule / cancel / pop workloads, including same-time ties,
-    // relative (cursor-adjacent) times, rotation-aliased distances and
-    // far-future calendar times.
+    // relative (cursor-adjacent) times, rotation-aliased distances,
+    // far-future calendar times, and the driver's pattern of repeated
+    // peeks followed by scheduling at (and one tick past) the peeked
+    // time, which the wheel answers from its lower bound.
     for case in 0..200u64 {
         let mut rng = SimRng::stream(case, "pq-diff");
         let mut wheel = EventQueue::new();
@@ -77,7 +79,7 @@ fn timer_wheel_matches_reference_queue_event_for_event() {
         let mut next_key = 0u64;
         let ops = rng.gen_range(200..=1_200);
         for _ in 0..ops {
-            match rng.gen_u64() % 10 {
+            match rng.gen_u64() % 11 {
                 // Schedule (most ops): a spread of horizons, biased
                 // toward the cursor where ordering is subtlest.
                 0..=5 => {
@@ -102,6 +104,22 @@ fn timer_wheel_matches_reference_queue_event_for_event() {
                         let i = (rng.gen_u64() % live.len() as u64) as usize;
                         let (wid, rid, _) = live.swap_remove(i);
                         assert_eq!(wheel.cancel(wid), reference.cancel(rid));
+                    }
+                }
+                // Peek without popping, then schedule at the peeked
+                // time and one tick (1024 ps) later.
+                7 => {
+                    let peeked = wheel.peek_time();
+                    assert_eq!(peeked, reference.peek_time());
+                    assert_eq!(wheel.peek_time(), peeked, "a repeat peek moved");
+                    if let Some(t) = peeked {
+                        for at in [t, SimTime::from_ps(t.as_ps() + 1024)] {
+                            let key = next_key;
+                            next_key += 1;
+                            let wid = wheel.schedule(at, key);
+                            let rid = reference.schedule(at, key);
+                            live.push((wid, rid, key));
+                        }
                     }
                 }
                 // Pop and compare.
