@@ -78,7 +78,7 @@ pub fn quiet_mix() -> TenantMix {
 }
 
 /// The tenancy plan: every tenant weighted equally at the NIC's DRR
-/// stages, rate-limited to [`RATE_HEADROOM`]× its quiet share, and
+/// stages, rate-limited to `RATE_HEADROOM`× its quiet share, and
 /// carrying a class-scaled p99 SLO (classes rotate by tenant id).
 pub fn tenancy(enforce: bool, base_rate_rps: f64) -> TenancyConfig {
     let quiet = quiet_mix();
@@ -223,7 +223,7 @@ impl TenantPoint {
 pub struct TenantSweep {
     /// Calibrated capacity, rps.
     pub capacity_rps: f64,
-    /// Quiet-world offered load ([`BASE_UTIL`] × capacity), rps.
+    /// Quiet-world offered load (`BASE_UTIL` × capacity), rps.
     pub base_rate_rps: f64,
     /// Points in `storm × {unbounded, isolated}` order.
     pub points: Vec<TenantPoint>,

@@ -49,6 +49,12 @@ const ARG_POOL_LEN: usize = 8;
 /// [`ARG_POOL_LEN`], the pool holds at most 64 KiB.
 const ARG_POOL_MAX_CAP: usize = 8 << 10;
 
+/// Queue depth at a busy user endpoint beyond which the NIC routes
+/// the request to a kernel dispatcher instead, recruiting another
+/// core for the service (§5.2's "dynamic scaling of the cores used
+/// for RPC based on load").
+const SCALE_UP_QUEUE_DEPTH: usize = 2;
+
 /// Dispatch-form argument buffers handed back at response collection,
 /// reused last-in first-out for the next requests' arguments.
 #[derive(Debug, Default)]
@@ -102,11 +108,6 @@ pub struct LauberhornNicConfig {
     /// TRYAGAIN window for all endpoints (the paper: 15 ms, chosen to
     /// stay inside the coherence protocol's fatal timeout).
     pub tryagain_timeout: lauberhorn_sim::SimDuration,
-    /// Queue depth at a busy user endpoint beyond which the NIC routes
-    /// the request to a kernel dispatcher instead, recruiting another
-    /// core for the service (§5.2's "dynamic scaling of the cores used
-    /// for RPC based on load").
-    pub scale_up_queue_threshold: usize,
     /// The NIC's own network address (source of responses).
     pub nic_addr: EndpointAddr,
 }
@@ -128,7 +129,6 @@ impl LauberhornNicConfig {
             dma_threshold: transfer.crossover_bytes(),
             dma_buffer_base: 0x4000_0000,
             tryagain_timeout: crate::endpoint::TRYAGAIN_TIMEOUT,
-            scale_up_queue_threshold: 2,
             nic_addr,
         }
     }
@@ -161,7 +161,6 @@ impl LauberhornNicConfig {
             dma_threshold: transfer.crossover_bytes(),
             dma_buffer_base: 0x4000_0000,
             tryagain_timeout: crate::endpoint::TRYAGAIN_TIMEOUT,
-            scale_up_queue_threshold: 2,
             nic_addr,
         }
     }
@@ -1231,8 +1230,8 @@ impl LauberhornNic {
         let (line, ctx) = match least_loaded_user {
             Some(id) if self.mirror.is_running(process) => {
                 let depth = self.endpoints.get(&id).map_or(0, |e| e.queue_depth());
-                let scale_out = depth >= self.cfg.scale_up_queue_threshold
-                    && self.mirror.kernel_pollers().next().is_some();
+                let scale_out =
+                    depth >= SCALE_UP_QUEUE_DEPTH && self.mirror.kernel_pollers().next().is_some();
                 if scale_out {
                     (line, ctx)
                 } else {

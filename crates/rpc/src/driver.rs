@@ -157,7 +157,7 @@ fn give_up(common: &mut StackCommon, workload: &WorkloadSpec, request_id: u64, n
 /// internal queue, always processing the globally-earliest event
 /// (client first on ties, so request injection at time `t` is visible
 /// to a stack event at the same `t`). Each request lives in one
-/// [`InFlight`] record on [`StackCommon`] from generation until it is
+/// `InFlight` record on [`StackCommon`] from generation until it is
 /// answered or given up on.
 pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> Report {
     stack.common().begin(workload);
@@ -553,28 +553,7 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
         reg.counter("sim.span.recorded", common.tracer.recorded());
         reg.counter("sim.span.dropped", common.tracer.dropped());
         reg.counter("sim.span.truncated", common.tracer.truncated());
-        if let Some(rec) = common.flightrec.as_ref() {
-            reg.counter("sim.span.flightrec.seen", rec.seen());
-            reg.counter("sim.span.flightrec.retained", rec.retained());
-            reg.counter("sim.span.flightrec.recycled", rec.recycled());
-            reg.counter("sim.span.flightrec.evicted", rec.evicted());
-            reg.gauge(
-                "sim.span.flightrec.p99_est_us",
-                rec.p99_estimate_ps() as f64 / 1e6,
-            );
-        }
-        // Critical-path blame: over the full buffer normally, over the
-        // retained outlier trees when the recorder recycled the rest.
-        let paths = match common.flightrec.as_ref() {
-            Some(rec) => {
-                let mut paths = Vec::new();
-                for tree in rec.trees() {
-                    paths.extend(lauberhorn_sim::critical_paths(&tree.spans));
-                }
-                paths
-            }
-            None => lauberhorn_sim::critical_paths(common.tracer.spans()),
-        };
+        let paths = lauberhorn_sim::critical_paths(common.tracer.spans());
         Some(lauberhorn_sim::BlameProfile::build(
             &paths,
             &common.service_of,

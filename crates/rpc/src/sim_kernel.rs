@@ -34,6 +34,9 @@ use crate::spec::{ServiceSpec, WorkloadSpec};
 use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, BASE_PORT, NIC_TRACK};
 use crate::wire::WireModel;
 
+/// NAPI poll budget (packets per softirq pass).
+const NAPI_BUDGET: usize = 16;
+
 /// Configuration.
 #[derive(Debug, Clone)]
 pub struct KernelSimConfig {
@@ -41,8 +44,6 @@ pub struct KernelSimConfig {
     pub machine: Machine,
     /// Cores available to the OS.
     pub cores: usize,
-    /// NAPI poll budget (packets per softirq pass).
-    pub napi_budget: usize,
     /// Whether the NIC allocates incoming payloads into the LLC
     /// (DDIO-style). Off, every payload copy misses to DRAM.
     pub ddio: bool,
@@ -56,7 +57,6 @@ impl KernelSimConfig {
         KernelSimConfig {
             machine: Machine::PcPcie,
             cores,
-            napi_budget: 16,
             ddio: true,
             wire: WireModel::same_rack_100g(),
         }
@@ -288,7 +288,7 @@ impl KernelSim {
         let mut t = now.max(self.busy_until.get(core).copied().unwrap_or(now));
         let sirq_start = t;
         let mut processed = 0usize;
-        while processed < self.cfg.napi_budget {
+        while processed < NAPI_BUDGET {
             let Some(front_ready) = self
                 .pending
                 .get(qi)

@@ -51,12 +51,9 @@ pub struct LauberhornSimConfig {
     /// Machine model ([`Machine::EnzianEci`], [`Machine::CxlProjected`]
     /// or [`Machine::NumaEmulated`]).
     pub machine: Machine,
-    /// Cores participating in RPC serving.
+    /// Cores participating in RPC serving; each starts parked in the
+    /// kernel dispatch loop.
     pub cores: usize,
-    /// How many of those cores start in the kernel dispatch loop
-    /// (the rest start idle and are not used — the experiments size
-    /// this explicitly).
-    pub kernel_dispatchers: usize,
     /// Consecutive TRYAGAINs before a user loop yields its core back
     /// to the kernel dispatch loop.
     pub yield_after: u32,
@@ -72,7 +69,6 @@ impl LauberhornSimConfig {
         LauberhornSimConfig {
             machine: Machine::EnzianEci,
             cores,
-            kernel_dispatchers: cores,
             yield_after: 1,
             tryagain_timeout: None,
             wire: WireModel::same_rack_100g(),
@@ -1349,8 +1345,8 @@ impl ServerStack for LauberhornSim {
                 Ev::Heartbeat,
             );
         }
-        // Kernel dispatcher cores park at t=0.
-        for core in 0..self.cfg.kernel_dispatchers.min(self.cfg.cores) {
+        // Every core starts in the kernel dispatch loop, parked at t=0.
+        for core in 0..self.cfg.cores {
             self.q.schedule(SimTime::ZERO, Ev::IssueLoad { core });
         }
     }

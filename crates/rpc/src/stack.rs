@@ -16,7 +16,6 @@ use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::CycleAccount;
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
-use lauberhorn_sim::flightrec::FlightRecorder;
 use lauberhorn_sim::{
     EventQueue, IdBuildHasher, SimDuration, SimRng, SimTime, SpanId, SpanTracer, Stage,
 };
@@ -268,9 +267,6 @@ pub struct StackCommon {
     /// blame profile gets its per-service dimension. Never read by any
     /// simulation path.
     pub service_of: BTreeMap<u64, u16>,
-    /// Outlier flight recorder, armed by `ObserveSpec::flightrec`.
-    /// Analysis-side only: consumes completed span trees.
-    pub flightrec: Option<FlightRecorder>,
 }
 
 impl StackCommon {
@@ -291,7 +287,6 @@ impl StackCommon {
             fill_fault: None,
             tracer: SpanTracer::default(),
             service_of: BTreeMap::new(),
-            flightrec: None,
         }
     }
 
@@ -317,8 +312,6 @@ impl StackCommon {
             .then(|| FaultInjector::new(workload.faults.fill, workload.seed, "fault.fill"));
         self.tracer.configure(&workload.observe);
         self.service_of.clear();
-        self.flightrec = (workload.observe.spans && workload.observe.flightrec)
-            .then(|| FlightRecorder::new(workload.observe.flight_cap));
     }
 
     /// Whether a retransmission policy is in force this run.
@@ -473,8 +466,7 @@ impl StackCommon {
         if let Some(r) = self.in_flight.get_mut(&request_id) {
             if let Some(root) = r.root_span.take() {
                 r.end_wait(&mut self.tracer, arrive);
-                let flightrec = self.flightrec.as_mut();
-                settle_spans(&mut self.tracer, flightrec, request_id, r, root, arrive);
+                self.tracer.end(root, arrive);
             }
         }
         // Every execution passed `rx_gate`, so the table covers the id.
@@ -596,15 +588,9 @@ impl StackCommon {
         // The wait span is a leaf: closing it at the abandonment is
         // always containment-safe.
         r.end_wait(&mut self.tracer, at);
-        if let (Some(rec), Some(root)) = (self.flightrec.as_mut(), r.root_span) {
-            // Recycle mode: the tree must leave the arena now or leak
-            // its slots. `take_request` clips any still-open child.
-            settle_spans(&mut self.tracer, Some(rec), request_id, &r, root, at);
-        }
-        // Otherwise the root span (if any) stays open; the driver's
-        // end-of-run `tracer.finish` closes it as truncated — a child
-        // (a handler whose response was lost) may still be executing
-        // past `at`.
+        // The root span (if any) stays open; the driver's end-of-run
+        // `tracer.finish` closes it as truncated — a child (a handler
+        // whose response was lost) may still be executing past `at`.
         Some(r)
     }
 
@@ -614,23 +600,6 @@ impl StackCommon {
         if let Some(s) = self.dedup_state(request_id) {
             *s = DedupState::Unseen;
         }
-    }
-}
-
-/// Closes `root` at `at` and hands `request_id`'s finished span tree to
-/// the flight recorder (retain-or-recycle), if it is armed.
-fn settle_spans(
-    tracer: &mut SpanTracer,
-    flightrec: Option<&mut FlightRecorder>,
-    request_id: u64,
-    r: &InFlight,
-    root: SpanId,
-    at: SimTime,
-) {
-    tracer.end(root, at);
-    if let Some(rec) = flightrec {
-        let latency_ps = at.since(r.times.nic_arrival).as_ps();
-        rec.offer(request_id, latency_ps, at, tracer);
     }
 }
 

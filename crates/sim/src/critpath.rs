@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::span::{SpanId, SpanRecord, Stage};
+use crate::span::{SpanRecord, Stage};
 use crate::time::SimTime;
 
 /// Which budget a segment of the critical path burns.
@@ -183,30 +183,15 @@ impl CritPath {
 }
 
 /// Span depth: root = 0, children one deeper. `spans` must be an
-/// id-indexed arena (the tracer buffer, or concatenated harvested
-/// trees — both store each span at the index its id names).
+/// id-indexed arena with every parent before its children, as the
+/// tracer records them.
 fn depths(spans: &[SpanRecord]) -> Vec<u32> {
     let mut d = vec![0u32; spans.len()];
     for (i, rec) in spans.iter().enumerate() {
         let Some(p) = rec.parent.index() else {
             continue;
         };
-        let depth = if p < i {
-            d.get(p).copied().unwrap_or(0) + 1
-        } else {
-            // Recycled-slot order: walk up explicitly (trees are
-            // shallow, this is rare).
-            let mut depth = 0u32;
-            let mut cur = rec.parent;
-            while let Some(ci) = cur.index() {
-                depth += 1;
-                if depth >= 64 {
-                    break;
-                }
-                cur = spans.get(ci).map(|r| r.parent).unwrap_or(SpanId::NONE);
-            }
-            depth
-        };
+        let depth = d.get(p).copied().unwrap_or(0) + 1;
         if let Some(slot) = d.get_mut(i) {
             *slot = depth;
         }
@@ -477,7 +462,7 @@ pub fn tenant_queueing_table(quiet: &BlameProfile, contended: &BlameProfile) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{ObserveSpec, SpanTracer};
+    use crate::span::{ObserveSpec, SpanId, SpanTracer};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
@@ -603,25 +588,5 @@ mod tests {
         let victim = table.lines().nth(2).expect("first tenant row");
         assert!(victim.trim_start().starts_with('3'), "{table}");
         assert!(victim.contains("+500"), "{table}");
-    }
-
-    #[test]
-    fn harvested_trees_concatenate_into_an_arena() {
-        let mut tr = SpanTracer::default();
-        tr.configure(&ObserveSpec::flight(4));
-        let mut arena: Vec<SpanRecord> = Vec::new();
-        for rid in 0..3u64 {
-            let at = t(rid * 1000);
-            let root = tr.begin(at, Stage::Request, Some(rid), SpanId::NONE, 1000);
-            tr.span(Stage::Handler, Some(rid), root, 0, at, t(rid * 1000 + 500));
-            tr.end(root, t(rid * 1000 + 600));
-            assert!(tr.take_request(rid, t(rid * 1000 + 600), &mut arena));
-        }
-        let paths = critical_paths(&arena);
-        assert_eq!(paths.len(), 3);
-        for p in &paths {
-            p.check_exact().expect("exact sum");
-            assert_eq!(p.total_ps(), 600_000);
-        }
     }
 }

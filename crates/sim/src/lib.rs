@@ -18,7 +18,6 @@
 pub mod critpath;
 pub mod energy;
 pub mod fault;
-pub mod flightrec;
 pub mod hash;
 pub mod metrics;
 pub mod overload;
@@ -37,7 +36,6 @@ pub use fault::{
     CrashSpec, FaultDecision, FaultInjector, FaultPlan, FaultSpec, NicFaultKind, NicFaultSpec,
     TenantFaultSpec,
 };
-pub use flightrec::{FlightRecorder, P2Quantile, SpanTree};
 pub use hash::{IdBuildHasher, IdHasher};
 pub use metrics::MetricsRegistry;
 pub use overload::{load_hint, AdmissionCtl, AimdPacer, OverloadConfig, ShedReason};

@@ -418,7 +418,7 @@ const AIMD_WINDOW: SimDuration = SimDuration::from_us(50);
 /// The pacer holds a rate factor in `(0, 1]`. A pushback NACK
 /// multiplies it down (the more loaded the NIC says it is, the harder
 /// the cut); a completed response adds a fixed increment back. Both
-/// directions are rate-limited to one adjustment per [`AIMD_WINDOW`].
+/// directions are rate-limited to one adjustment per `AIMD_WINDOW`.
 /// The open-loop generator stretches inter-arrival gaps by
 /// [`AimdPacer::gap_scale`].
 #[derive(Debug, Clone, Copy)]

@@ -12,12 +12,12 @@
 //! [`reference::ReferenceQueue`] for differential testing and as the
 //! bench baseline):
 //!
-//! * **Ticks.** Time is bucketed into 1024 ps ticks ([`TICK_SHIFT`]).
+//! * **Ticks.** Time is bucketed into 1024 ps ticks (`TICK_SHIFT`).
 //!   Multiple distinct picosecond timestamps can share a tick; a slot
 //!   is sorted by `(time, seq)` when it drains, so delivery order is
 //!   exactly the `(time, seq)` total order of the old queue and every
 //!   digest downstream is unchanged.
-//! * **Wheel.** [`LEVELS`] levels of [`SLOTS`] slots; level `l` slots
+//! * **Wheel.** `LEVELS` levels of `SLOTS` slots; level `l` slots
 //!   are `64^l` ticks wide, so the wheel spans `64^5` ticks (≈ 1.1
 //!   simulated seconds). A per-level occupancy bitmap finds the next
 //!   populated slot with `rotate_right` + `trailing_zeros` instead of

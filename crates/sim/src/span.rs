@@ -31,63 +31,26 @@ use crate::time::SimTime;
 /// provably zero-cost beyond one branch per would-be emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObserveSpec {
-    /// Record typed spans (up to `span_cap` of them).
-    pub spans: bool,
-    /// Maximum spans retained before new ones are counted dropped.
+    /// Maximum spans retained before new ones are counted dropped; zero
+    /// turns tracing off.
     pub span_cap: usize,
-    /// Arm the outlier flight recorder: completed requests' span trees
-    /// are harvested out of the tracer and recycled unless their
-    /// latency crosses the running p99 estimate (see
-    /// [`crate::flightrec`]). Requires `spans`.
-    pub flightrec: bool,
-    /// Outlier span trees the flight recorder retains (oldest evicted).
-    pub flight_cap: usize,
 }
 
 impl ObserveSpec {
     /// No observation: the default for every experiment.
     pub fn none() -> Self {
-        ObserveSpec {
-            spans: false,
-            span_cap: 0,
-            flightrec: false,
-            flight_cap: 0,
-        }
+        ObserveSpec { span_cap: 0 }
     }
 
     /// Full observation: spans, generously capped. Used by `profile`
     /// and the zero-perturbation test.
     pub fn full() -> Self {
-        ObserveSpec {
-            spans: true,
-            span_cap: 1 << 20,
-            flightrec: false,
-            flight_cap: 0,
-        }
+        Self::spans(1 << 20)
     }
 
-    /// Spans only, with the given cap.
+    /// Spans with the given cap; zero turns tracing off.
     pub fn spans(cap: usize) -> Self {
-        ObserveSpec {
-            spans: true,
-            span_cap: cap,
-            flightrec: false,
-            flight_cap: 0,
-        }
-    }
-
-    /// Spans with the outlier flight recorder armed: the tracer runs in
-    /// recycle mode (bounded memory at any offered load) and up to
-    /// `outliers` tail span trees are retained with full causal detail.
-    pub fn flight(outliers: usize) -> Self {
-        ObserveSpec {
-            spans: true,
-            // The working set only needs to hold *in-flight* requests'
-            // spans; completed trees recycle their slots.
-            span_cap: 1 << 20,
-            flightrec: true,
-            flight_cap: outliers,
-        }
+        ObserveSpec { span_cap: cap }
     }
 }
 
@@ -232,33 +195,19 @@ pub struct SpanRecord {
     pub end: Option<SimTime>,
 }
 
-/// An append-only buffer of typed spans with an on/off switch.
+/// An append-only arena of typed spans, holding at most
+/// [`ObserveSpec::span_cap`] of them; a zero cap turns it off. Each
+/// span is stored at the index its id names, and a parent is always
+/// recorded before its children.
 ///
-/// Every method self-gates on the enabled flag, so callers never need
-/// an `is_enabled` branch for correctness — only to avoid computing
-/// expensive inputs.
-///
-/// With the flight recorder armed the tracer runs in *recycle mode*:
-/// completed requests' spans are harvested out with
-/// [`SpanTracer::take_request`] (or dropped with
-/// [`SpanTracer::discard_request`]) and their slots reused, so memory
-/// stays bounded by the in-flight set rather than the run length. In
-/// recycle mode slot indices no longer order parents before children,
-/// so [`SpanTracer::check_balance`] relaxes to closed-and-well-formed
-/// checks only; harvested trees are validated per request instead.
+/// Every method self-gates on [`SpanTracer::is_enabled`], so callers
+/// never need an `is_enabled` branch for correctness — only to avoid
+/// computing expensive inputs.
 #[derive(Debug, Default)]
 pub struct SpanTracer {
-    enabled: bool,
     cap: usize,
-    recycle: bool,
     spans: Vec<SpanRecord>,
-    /// Reusable slot indices (recycle mode only).
-    free: Vec<u32>,
-    /// Slots belonging to each live request (recycle mode only), in
-    /// open order so parents precede children within a request.
-    by_request: BTreeMap<u64, Vec<u32>>,
     open: usize,
-    recorded: u64,
     dropped: u64,
     truncated: u64,
 }
@@ -266,26 +215,21 @@ pub struct SpanTracer {
 impl SpanTracer {
     /// Reconfigures for a new run per `spec`, clearing all state.
     pub fn configure(&mut self, spec: &ObserveSpec) {
-        self.enabled = spec.spans;
         self.cap = spec.span_cap;
-        self.recycle = spec.spans && spec.flightrec;
         self.reset();
     }
 
-    /// Clears recorded spans, preserving enablement and cap.
+    /// Clears recorded spans, preserving the cap.
     pub fn reset(&mut self) {
         self.spans.clear();
-        self.free.clear();
-        self.by_request.clear();
         self.open = 0;
-        self.recorded = 0;
         self.dropped = 0;
         self.truncated = 0;
     }
 
     /// Whether spans are being recorded.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.cap > 0
     }
 
     /// Opens a span; returns [`SpanId::NONE`] when disabled or at cap
@@ -298,21 +242,15 @@ impl SpanTracer {
         parent: SpanId,
         track: u32,
     ) -> SpanId {
-        if !self.enabled {
+        if !self.is_enabled() {
             return SpanId::NONE;
         }
-        let slot = if self.recycle { self.free.pop() } else { None };
-        let id = match slot {
-            Some(idx) => SpanId(idx),
-            None => {
-                if self.spans.len() >= self.cap || self.spans.len() >= u32::MAX as usize - 1 {
-                    self.dropped += 1;
-                    return SpanId::NONE;
-                }
-                SpanId(self.spans.len() as u32)
-            }
-        };
-        let rec = SpanRecord {
+        if self.spans.len() >= self.cap || self.spans.len() >= u32::MAX as usize - 1 {
+            self.dropped += 1;
+            return SpanId::NONE;
+        }
+        let id = SpanId(self.spans.len() as u32);
+        self.spans.push(SpanRecord {
             id,
             parent,
             stage,
@@ -320,18 +258,8 @@ impl SpanTracer {
             track,
             start,
             end: None,
-        };
-        match self.spans.get_mut(id.0 as usize) {
-            Some(s) => *s = rec,
-            None => self.spans.push(rec),
-        }
-        if self.recycle {
-            if let Some(rid) = request_id {
-                self.by_request.entry(rid).or_default().push(id.0);
-            }
-        }
+        });
         self.open += 1;
-        self.recorded += 1;
         id
     }
 
@@ -400,73 +328,14 @@ impl SpanTracer {
         self.open = 0;
     }
 
-    /// Extracts the span tree of a completed request (recycle mode
-    /// only), appending its spans to `out` with ids remapped to local
-    /// indices (parents outside the request become [`SpanId::NONE`])
-    /// and freeing the slots for reuse. Any still-open span is closed
-    /// at `at`. Returns false when not in recycle mode or the request
-    /// recorded no spans.
-    pub fn take_request(&mut self, rid: u64, at: SimTime, out: &mut Vec<SpanRecord>) -> bool {
-        if !self.recycle {
-            return false;
-        }
-        let Some(slots) = self.by_request.remove(&rid) else {
-            return false;
-        };
-        let base = out.len() as u32;
-        let mut local: BTreeMap<u32, u32> = BTreeMap::new();
-        for (i, slot) in slots.iter().enumerate() {
-            local.insert(*slot, base + i as u32);
-        }
-        for slot in &slots {
-            let Some(rec) = self.spans.get_mut(*slot as usize) else {
-                continue;
-            };
-            if rec.end.is_none() {
-                rec.end = Some(at.max(rec.start));
-                self.open = self.open.saturating_sub(1);
-            }
-            let mut rec = rec.clone();
-            rec.id = SpanId(local.get(&rec.id.0).copied().unwrap_or(u32::MAX));
-            rec.parent = match local.get(&rec.parent.0) {
-                Some(l) => SpanId(*l),
-                None => SpanId::NONE,
-            };
-            out.push(rec);
-        }
-        self.free.extend(slots);
-        true
-    }
-
-    /// Frees a completed request's span slots without extracting them
-    /// (the flight recorder declined to retain the tree). Open spans
-    /// are closed in place before the slots recycle.
-    pub fn discard_request(&mut self, rid: u64) {
-        if !self.recycle {
-            return;
-        }
-        let Some(slots) = self.by_request.remove(&rid) else {
-            return;
-        };
-        for slot in &slots {
-            if let Some(rec) = self.spans.get_mut(*slot as usize) {
-                if rec.end.is_none() {
-                    rec.end = Some(rec.start);
-                    self.open = self.open.saturating_sub(1);
-                }
-            }
-        }
-        self.free.extend(slots);
-    }
-
     /// All recorded spans, in open order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
     }
 
-    /// Total spans recorded over the run, including recycled ones.
+    /// Total spans recorded over the run.
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.spans.len() as u64
     }
 
     /// Spans refused because the cap was reached.
@@ -486,9 +355,7 @@ impl SpanTracer {
 
     /// Checks the balance invariant: every span closed, every parent
     /// recorded before its child, and every closed parent's interval
-    /// containing its children's. Returns the first violation. In
-    /// recycle mode slot reuse voids the id-order and containment
-    /// relations, so only closure and well-formedness are checked.
+    /// containing its children's. Returns the first violation.
     pub fn check_balance(&self) -> Result<(), String> {
         for rec in &self.spans {
             let Some(end) = rec.end else {
@@ -496,9 +363,6 @@ impl SpanTracer {
             };
             if end < rec.start {
                 return Err(format!("span {:?} ends before it starts", rec.id));
-            }
-            if self.recycle {
-                continue;
             }
             if rec.parent.is_some() {
                 let Some(parent) = self.spans.get(rec.parent.0 as usize) else {
@@ -692,13 +556,20 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert() {
-        let mut tr = SpanTracer::default();
-        let id = tr.begin(t(1), Stage::Irq, None, SpanId::NONE, 0);
-        assert_eq!(id, SpanId::NONE);
-        tr.end(id, t(2));
-        tr.span(Stage::Copy, Some(7), SpanId::NONE, 0, t(1), t(2));
-        assert!(tr.spans().is_empty());
-        assert_eq!(tr.dropped(), 0);
+        // The default tracer, `none()` and a zero cap all mean off.
+        for spec in [None, Some(ObserveSpec::none()), Some(ObserveSpec::spans(0))] {
+            let mut tr = SpanTracer::default();
+            if let Some(spec) = spec {
+                tr.configure(&spec);
+            }
+            assert!(!tr.is_enabled(), "{spec:?}");
+            let id = tr.begin(t(1), Stage::Irq, None, SpanId::NONE, 0);
+            assert_eq!(id, SpanId::NONE);
+            tr.end(id, t(2));
+            tr.span(Stage::Copy, Some(7), SpanId::NONE, 0, t(1), t(2));
+            assert!(tr.spans().is_empty(), "{spec:?}");
+            assert_eq!(tr.dropped(), 0, "{spec:?}");
+        }
     }
 
     #[test]
@@ -779,48 +650,6 @@ mod tests {
         assert!(json.contains("lauberhorn/enzian-eci"));
         // Exact reproducibility of the whole artifact.
         assert_eq!(json, chrome_trace("lauberhorn/enzian-eci", tr.spans()));
-    }
-
-    #[test]
-    fn recycle_mode_reuses_slots_and_remaps_trees() {
-        let mut tr = SpanTracer::default();
-        tr.configure(&ObserveSpec::flight(4));
-        for rid in 0..100u64 {
-            let at = t(rid * 1000);
-            let root = tr.begin(at, Stage::Request, Some(rid), SpanId::NONE, 1000);
-            let h = tr.begin(at, Stage::Handler, Some(rid), root, 0);
-            tr.end(h, t(rid * 1000 + 300));
-            tr.end(root, t(rid * 1000 + 400));
-            let mut tree = Vec::new();
-            assert!(tr.take_request(rid, t(rid * 1000 + 400), &mut tree));
-            assert_eq!(tree.len(), 2);
-            assert_eq!(tree[0].id, SpanId(0));
-            assert_eq!(tree[0].parent, SpanId::NONE);
-            assert_eq!(tree[1].parent, SpanId(0));
-        }
-        // 100 requests × 2 spans recorded, but only 2 slots ever live.
-        assert_eq!(tr.recorded(), 200);
-        assert_eq!(tr.spans().len(), 2);
-        assert_eq!(tr.dropped(), 0);
-        assert_eq!(tr.open_count(), 0);
-        assert!(tr.check_balance().is_ok());
-    }
-
-    #[test]
-    fn recycle_discard_frees_and_closes() {
-        let mut tr = SpanTracer::default();
-        tr.configure(&ObserveSpec::flight(4));
-        let root = tr.begin(t(0), Stage::Request, Some(9), SpanId::NONE, 1000);
-        assert!(root.is_some());
-        tr.discard_request(9);
-        assert_eq!(tr.open_count(), 0);
-        // The freed slot is reused by the next request.
-        let next = tr.begin(t(10), Stage::Request, Some(10), SpanId::NONE, 1000);
-        assert_eq!(next, root);
-        let mut tree = Vec::new();
-        assert!(!tr.take_request(9, t(20), &mut tree));
-        assert!(tr.take_request(10, t(20), &mut tree));
-        assert_eq!(tree.len(), 1);
     }
 
     #[test]

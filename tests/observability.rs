@@ -145,42 +145,6 @@ fn critical_path_decomposition_is_exact_on_every_stack() {
 }
 
 #[test]
-fn flight_recorder_keeps_zero_perturbation() {
-    // The recorder arms the recycle-mode tracer, the streaming p99
-    // estimator, and critical-path blame over retained outliers — and
-    // still must not move a single bit of the report digest.
-    let clean = WorkloadSpec::echo_closed(64, 2, 11);
-    for stack in StackKind::all() {
-        let blind = digest(stack, &clean);
-        let armed = digest(stack, &clean.clone().with_observe(ObserveSpec::flight(32)));
-        assert_eq!(
-            blind,
-            armed,
-            "{}: flight recorder perturbed a clean run",
-            stack.name()
-        );
-    }
-    let faulty =
-        WorkloadSpec::open_poisson(150_000.0, 1, 0.0, SizeDist::Fixed { bytes: 64 }, 4, 13)
-            .with_faults(FaultPlan::wire_loss(0.05))
-            .with_retry(RetryPolicy::same_rack());
-    for stack in [
-        StackKind::LauberhornEnzian,
-        StackKind::BypassModern,
-        StackKind::KernelModern,
-    ] {
-        let blind = digest(stack, &faulty);
-        let armed = digest(stack, &faulty.clone().with_observe(ObserveSpec::flight(32)));
-        assert_eq!(
-            blind,
-            armed,
-            "{}: flight recorder perturbed a faulty run",
-            stack.name()
-        );
-    }
-}
-
-#[test]
 fn nic_reset_episode_balances_spans_and_blames_recovery() {
     use lauberhorn::sim::fault::NicFaultKind;
     use lauberhorn::sim::SimDuration;
