@@ -1,11 +1,14 @@
-//! Golden Chrome-trace fixture: a seeded 10 µs single-client
-//! Lauberhorn echo run must produce byte-for-byte this trace
-//! (`tests/golden/lauberhorn_echo.trace.json`).
+//! Golden Chrome-trace fixtures: a seeded single-client echo run on
+//! each stack must produce byte-for-byte the trace committed under
+//! `tests/golden/` (`lauberhorn_echo`, `bypass_echo`, `kernel_echo`).
 //!
-//! This pins three things at once: the event schedule of the fast path
-//! (any timing drift moves a `ts`/`dur` field), the span structure
-//! (stage names, parent links, track assignment), and the exporter's
-//! deterministic formatting (integer-µs rendering, field order).
+//! Each fixture pins three things at once: the event schedule of the
+//! stack's receive path (any timing drift moves a `ts`/`dur` field),
+//! the span structure (stage names, parent links, track assignment),
+//! and the exporter's deterministic formatting (integer-µs rendering,
+//! field order). The Lauberhorn run covers 10 µs; the DMA stacks cover
+//! 50 µs, because bypass's first request waits out the 30 µs initial
+//! flow-director binding.
 //!
 //! After an *intentional* change to any of those, regenerate with:
 //!
@@ -13,47 +16,87 @@
 //! BLESS=1 cargo test -p lauberhorn-rpc --test golden_trace
 //! ```
 
+use lauberhorn_rpc::sim_bypass::BypassSimConfig;
+use lauberhorn_rpc::sim_kernel::KernelSimConfig;
 use lauberhorn_rpc::sim_lauberhorn::LauberhornSimConfig;
-use lauberhorn_rpc::{LauberhornSim, ServerStack, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{
+    driver, BypassSim, KernelSim, LauberhornSim, ServerStack, ServiceSpec, WorkloadSpec,
+};
 use lauberhorn_sim::span::chrome_trace;
 use lauberhorn_sim::{ObserveSpec, SimDuration};
 
-const GOLDEN: &str = include_str!("golden/lauberhorn_echo.trace.json");
+/// One pinned run: its fixture file, the committed bytes, and the run
+/// that must reproduce them.
+struct Golden {
+    file: &'static str,
+    pinned: &'static str,
+    run: fn() -> String,
+}
 
-fn run_trace() -> String {
+const GOLDENS: [Golden; 3] = [
+    Golden {
+        file: "lauberhorn_echo.trace.json",
+        pinned: include_str!("golden/lauberhorn_echo.trace.json"),
+        run: || {
+            let sim = LauberhornSim::new(LauberhornSimConfig::enzian(2), services());
+            trace(sim, 10)
+        },
+    },
+    Golden {
+        file: "bypass_echo.trace.json",
+        pinned: include_str!("golden/bypass_echo.trace.json"),
+        run: || trace(BypassSim::new(BypassSimConfig::modern(2), services()), 50),
+    },
+    Golden {
+        file: "kernel_echo.trace.json",
+        pinned: include_str!("golden/kernel_echo.trace.json"),
+        run: || trace(KernelSim::new(KernelSimConfig::modern(2), services()), 50),
+    },
+];
+
+fn services() -> Vec<ServiceSpec> {
+    ServiceSpec::uniform(1, 1000, 32)
+}
+
+/// Runs one closed-loop 64 B echo client for `window_us` on `sim` and
+/// exports every span it recorded.
+fn trace(mut sim: impl ServerStack, window_us: u64) -> String {
     let mut wl = WorkloadSpec::echo_closed(64, 1, 7).with_observe(ObserveSpec::full());
-    wl.duration = SimDuration::from_us(10);
+    wl.duration = SimDuration::from_us(window_us);
     wl.warmup = 0;
-    let mut sim = LauberhornSim::new(
-        LauberhornSimConfig::enzian(2),
-        ServiceSpec::uniform(1, 1000, 32),
+    let r = driver::run(&mut sim, &wl);
+    assert!(
+        r.completed > 0,
+        "{} fixture run completed nothing",
+        sim.name()
     );
-    let r = sim.run(&wl);
-    assert!(r.completed > 0, "fixture run completed nothing");
-    chrome_trace("lauberhorn/enzian-eci", sim.common().tracer.spans())
+    chrome_trace(sim.name(), sim.common().tracer.spans())
 }
 
 #[test]
 fn chrome_trace_matches_golden_fixture() {
-    let got = run_trace();
-    if std::env::var_os("BLESS").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/lauberhorn_echo.trace.json"
+    let bless = std::env::var_os("BLESS").is_some();
+    for g in &GOLDENS {
+        let got = (g.run)();
+        if bless {
+            let path = format!("{}/tests/golden/{}", env!("CARGO_MANIFEST_DIR"), g.file);
+            std::fs::write(path, &got).expect("write golden fixture");
+            continue;
+        }
+        assert!(
+            got == g.pinned,
+            "chrome trace drifted from the golden fixture {} \
+             (BLESS=1 regenerates it after intentional changes);\ngot:\n{got}",
+            g.file
         );
-        std::fs::write(path, &got).expect("write golden fixture");
-        return;
     }
-    assert!(
-        got == GOLDEN,
-        "chrome trace drifted from the golden fixture \
-         (BLESS=1 regenerates it after intentional changes);\ngot:\n{got}"
-    );
 }
 
 #[test]
 fn golden_run_is_reproducible() {
-    // The fixture is only meaningful if the run itself is a pure
-    // function of the seed.
-    assert_eq!(run_trace(), run_trace());
+    // A fixture is only meaningful if its run is a pure function of
+    // the seed.
+    for g in &GOLDENS {
+        assert_eq!((g.run)(), (g.run)(), "{} run is not reproducible", g.file);
+    }
 }
