@@ -10,7 +10,8 @@
 //! `crates/bench/baselines/trend/`, and writes the deterministic
 //! `BENCH_trend.json` (schema `lauberhorn-trend/v1`). Exits non-zero
 //! when any row regressed past the noise thresholds or vanished from
-//! an experiment — each latency regression is attributed to the
+//! an experiment, including every row of a baseline whose artifact is
+//! absent — each latency regression is attributed to the
 //! critical-path stage whose blame share grew, when the artifact
 //! carries blame (the `profile` rows do).
 //!
@@ -18,6 +19,8 @@
 //! host) and is skipped here; its dedicated ratio gate lives in
 //! `engine_bench --gate`. `--write-baselines` refreshes the committed
 //! baselines from the current artifacts instead of comparing.
+
+use std::path::Path;
 
 use lauberhorn_bench::json::Json;
 use lauberhorn_bench::{artifact, trend};
@@ -92,48 +95,16 @@ fn main() {
             println!("baseline {experiment} <- {name}");
             continue;
         }
-        let baseline_text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(_) => {
-                println!(
-                    "trend: {experiment}: no baseline (commit one with --write-baselines); \
-                     treating all rows as new"
-                );
-                let empty = Json::parse(&format!(
-                    "{{\"schema\": \"{}\", \"experiment\": \"{experiment}\", \
-                     \"seed\": 0, \"rows\": []}}",
-                    artifact::SCHEMA
-                ))
-                .expect("literal empty artifact parses");
-                match trend::compare(&experiment, &doc, &empty, &th) {
-                    Ok(t) => trends.push(t),
-                    Err(e) => {
-                        eprintln!("trend: {experiment}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-                continue;
-            }
+        let baseline = if baseline_path.exists() {
+            load_baseline(&baseline_path)
+        } else {
+            println!(
+                "trend: {experiment}: no baseline (commit one with --write-baselines); \
+                 treating all rows as new"
+            );
+            trend::empty_artifact(&experiment)
         };
-        let baseline = match Json::parse(&baseline_text)
-            .map_err(|e| e.to_string())
-            .and_then(|b| {
-                artifact::validate(&b)?;
-                Ok(b)
-            }) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("trend: baseline {}: {e}", baseline_path.display());
-                std::process::exit(1);
-            }
-        };
-        match trend::compare(&experiment, &doc, &baseline, &th) {
-            Ok(t) => trends.push(t),
-            Err(e) => {
-                eprintln!("trend: {experiment}: {e}");
-                std::process::exit(1);
-            }
-        }
+        trends.push(compare(&experiment, &doc, &baseline, &th));
     }
     if write_baselines {
         println!(
@@ -141,6 +112,21 @@ fn main() {
             trend::baseline_dir().display()
         );
         return;
+    }
+
+    // A baseline without a current artifact is lost coverage: every
+    // one of its rows is missing.
+    let present: Vec<String> = trends.iter().map(|t| t.experiment.clone()).collect();
+    let orphans = trend::baselines_without_artifact(&trend::baseline_dir(), &present)
+        .unwrap_or_else(|e| {
+            eprintln!("trend: {e}");
+            std::process::exit(1)
+        });
+    for experiment in orphans {
+        println!("trend: {experiment}: baseline has no current artifact; all rows missing");
+        let baseline = load_baseline(&trend::baseline_dir().join(format!("{experiment}.json")));
+        let empty = trend::empty_artifact(&experiment);
+        trends.push(compare(&experiment, &empty, &baseline, &th));
     }
 
     for t in &trends {
@@ -193,4 +179,34 @@ fn main() {
     if failures > 0 {
         std::process::exit(1);
     }
+}
+
+/// Reads and schema-checks the committed baseline at `path`; exits
+/// non-zero when it is unreadable or malformed.
+fn load_baseline(path: &Path) -> Json {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text))
+        .and_then(|b| {
+            artifact::validate(&b)?;
+            Ok(b)
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("trend: baseline {}: {e}", path.display());
+            std::process::exit(1)
+        })
+}
+
+/// Compares one experiment's `current` artifact against `baseline`;
+/// exits non-zero when either lacks the comparable fields.
+fn compare(
+    experiment: &str,
+    current: &Json,
+    baseline: &Json,
+    th: &trend::Thresholds,
+) -> trend::ExperimentTrend {
+    trend::compare(experiment, current, baseline, th).unwrap_or_else(|e| {
+        eprintln!("trend: {experiment}: {e}");
+        std::process::exit(1)
+    })
 }

@@ -13,8 +13,9 @@
 //! trend job gates on. The document carries no timestamps: two runs of
 //! the same tree produce byte-identical `BENCH_trend.json`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use crate::artifact;
 use crate::json::Json;
 
 /// The schema identifier the trend document carries.
@@ -400,6 +401,34 @@ pub fn baseline_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("baselines")
         .join("trend")
+}
+
+/// An `experiment` artifact with no rows: the missing side of a
+/// comparison, so every row of the other side reads new or missing.
+pub fn empty_artifact(experiment: &str) -> Json {
+    Json::Obj(vec![
+        ("schema".into(), Json::Str(artifact::SCHEMA.into())),
+        ("experiment".into(), Json::Str(experiment.into())),
+        ("seed".into(), Json::Num(0.0)),
+        ("rows".into(), Json::Arr(Vec::new())),
+    ])
+}
+
+/// The experiments with a baseline (`<experiment>.json`) in `dir` that
+/// are not among `present`, in name order. The gate compares each
+/// against [`empty_artifact`], so a bin that stopped writing its
+/// artifact fails with every row missing, like a vanished row.
+pub fn baselines_without_artifact(dir: &Path, present: &[String]) -> Result<Vec<String>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot scan {}: {e}", dir.display()))?;
+    let mut orphans: Vec<String> = entries
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter_map(|n| n.strip_suffix(".json").map(str::to_string))
+        .filter(|experiment| !present.contains(experiment))
+        .collect();
+    orphans.sort();
+    Ok(orphans)
 }
 
 #[cfg(test)]

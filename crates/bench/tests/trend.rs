@@ -153,3 +153,43 @@ fn stack_names_match_the_committed_baselines() {
         );
     }
 }
+
+#[test]
+fn baseline_without_an_artifact_fails_with_every_row_missing() {
+    // A bin that stops writing its artifact must not pass silently:
+    // its baseline compares against an empty artifact.
+    let baseline = profile_doc();
+    let n = baseline
+        .get("rows")
+        .and_then(Json::as_arr)
+        .map_or(0, |r| r.len());
+    assert!(n > 0);
+    let t = trend::compare(
+        "profile",
+        &trend::empty_artifact("profile"),
+        &baseline,
+        &trend::Thresholds::default(),
+    )
+    .expect("comparison succeeds");
+    assert_eq!(t.rows.len(), n);
+    assert!(t.rows.iter().all(|r| r.status == trend::RowStatus::Missing));
+    assert_eq!(t.failures(), n, "every vanished row gates");
+}
+
+#[test]
+fn every_committed_baseline_without_an_artifact_is_found() {
+    let dir = trend::baseline_dir();
+    let all = trend::baselines_without_artifact(&dir, &[]).expect("baseline dir scans");
+    assert!(
+        all.iter().any(|e| e == "fig2"),
+        "the fig2 baseline is committed: {all:?}"
+    );
+    let present: Vec<String> = all.iter().filter(|e| *e != "fig2").cloned().collect();
+    assert_eq!(
+        trend::baselines_without_artifact(&dir, &present).expect("baseline dir scans"),
+        ["fig2"]
+    );
+    assert!(trend::baselines_without_artifact(&dir, &all)
+        .expect("baseline dir scans")
+        .is_empty());
+}

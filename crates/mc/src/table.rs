@@ -15,7 +15,7 @@
 //! a given run arms it.
 
 use crate::protocol::{LauberhornModel, ProtocolConfig};
-use crate::races::{Access, AccessKind, Agent, InstrumentedModel, Loc};
+use crate::races::{AccessKind, Agent, InstrumentedModel, Loc};
 
 /// Where a model action's implementation lives, from the point of view
 /// of the NIC device files the conformance pass analyzes.
@@ -89,17 +89,6 @@ pub fn loc_name(loc: Loc) -> &'static str {
     }
 }
 
-/// Stable name for an agent.
-pub fn agent_name(agent: Agent) -> &'static str {
-    match agent {
-        Agent::Client => "Client",
-        Agent::Timer => "Timer",
-        Agent::Kernel => "Kernel",
-        Agent::Nic => "Nic",
-        Agent::Core => "Core",
-    }
-}
-
 /// Builds the transition table from the race instrumentation.
 pub fn transition_table() -> Vec<Transition> {
     let model = LauberhornModel::new(ProtocolConfig {
@@ -131,16 +120,6 @@ pub fn transition_table() -> Vec<Transition> {
             }
         })
         .collect()
-}
-
-/// The accesses of one action under the hint extension (convenience
-/// for callers that want the raw, ordered access list).
-pub fn action_accesses(action: &'static str) -> Vec<Access> {
-    LauberhornModel::new(ProtocolConfig {
-        carry_load_hint: true,
-        ..ProtocolConfig::default()
-    })
-    .accesses(&action)
 }
 
 #[cfg(test)]

@@ -25,11 +25,6 @@ impl Moderation {
         }
     }
 
-    /// Typical data-center setting (~20 µs, cf. ixgbe defaults).
-    pub fn datacenter_default() -> Self {
-        Self::new(SimDuration::from_us(20))
-    }
-
     /// Asks to fire an interrupt at `now`.
     ///
     /// Returns `Some(at)` — the time the interrupt may be raised (now,

@@ -186,11 +186,6 @@ impl DmaNic {
         self.rx_rings[q as usize].post(desc)
     }
 
-    /// Free descriptors currently posted on queue `q`.
-    pub fn rx_posted(&self, q: u32) -> usize {
-        self.rx_rings[q as usize].len()
-    }
-
     /// A frame arrives from the wire at `now`, steered by RSS.
     pub fn rx_packet(&mut self, now: SimTime, raw: &[u8]) -> Result<RxDelivery, RxDrop> {
         self.rx_packet_inner(now, raw, None)

@@ -148,11 +148,6 @@ impl OsScheduler {
         self.threads.get(&tid).map(|t| t.state)
     }
 
-    /// Owning process of `tid`.
-    pub fn process_of(&self, tid: ThreadId) -> Option<ProcessId> {
-        self.threads.get(&tid).map(|t| t.process)
-    }
-
     /// Cores with no current thread.
     pub fn idle_cores(&self) -> Vec<usize> {
         self.cores

@@ -30,12 +30,6 @@ impl Checksum {
         self.sum += w as u32;
     }
 
-    /// Feeds a 32-bit value as two 16-bit words.
-    pub fn add_u32(&mut self, w: u32) {
-        self.add_u16((w >> 16) as u16);
-        self.add_u16(w as u16);
-    }
-
     /// Finalises to the one's-complement checksum field value.
     pub fn finish(self) -> u16 {
         let mut s = self.sum;

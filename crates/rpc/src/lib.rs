@@ -14,6 +14,11 @@
 //!   with RSS, interrupts, softirq processing, socket wakeups, and
 //!   context switches.
 //!
+//! The two DMA stacks share one host driver for that NIC (bring-up,
+//! RX refill, TX ring). Every stack reports its requests' milestones
+//! to [`stack::StackCommon`], which owns each request's record and
+//! spans.
+//!
 //! All three implement the [`stack::ServerStack`] trait and are run by
 //! the one generic [`driver`]: they consume the same [`spec`] service
 //! definitions and [`wire`]-level request frames — byte-identical
@@ -21,6 +26,7 @@
 //! same [`report`] metrics, so every experiment is an apples-to-apples
 //! comparison.
 
+mod dma_host;
 pub mod driver;
 pub mod report;
 pub mod sim_bypass;

@@ -12,9 +12,7 @@
 use std::collections::VecDeque;
 
 use lauberhorn_baseline::{BindingManager, FlowDirector, RebindCost};
-use lauberhorn_nic_dma::nic::RxDrop;
-use lauberhorn_nic_dma::ring::{RxDescriptor, TxDescriptor};
-use lauberhorn_nic_dma::{DmaNic, DmaNicConfig};
+use lauberhorn_nic_dma::DmaNic;
 use lauberhorn_os::CostModel;
 use lauberhorn_packet::frame::{EndpointAddr, FRAME_OVERHEAD};
 use lauberhorn_packet::rpcwire::RPC_HEADER_LEN;
@@ -22,10 +20,10 @@ use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::{EventQueue, OverloadConfig, SimDuration, SimTime, Stage};
 
+use crate::dma_host::DmaHost;
 use crate::report::Report;
-use crate::spec::{ServiceSpec, WorkloadSpec};
+use crate::spec::{spec_of, ServiceSpec, WorkloadSpec};
 use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, NIC_TRACK};
-use crate::wire::WireModel;
 
 // The canonical home of this constant is the centralized machine
 // catalogue; re-exported here for the historical import path.
@@ -38,14 +36,10 @@ pub struct BypassSimConfig {
     pub machine: Machine,
     /// Dedicated dataplane cores (one RX queue each).
     pub cores: usize,
-    /// Rebind cost model.
-    pub rebind: RebindCost,
     /// Rebind hot services to cores at every mix epoch (the policy a
     /// static stack is forced into under a rotating hot set);
     /// otherwise bindings are fixed at start.
     pub rebind_on_epoch: bool,
-    /// Network model.
-    pub wire: WireModel,
 }
 
 impl BypassSimConfig {
@@ -54,9 +48,7 @@ impl BypassSimConfig {
         BypassSimConfig {
             machine: Machine::PcPcie,
             cores,
-            rebind: RebindCost::default(),
             rebind_on_epoch: false,
-            wire: WireModel::same_rack_100g(),
         }
     }
 
@@ -99,7 +91,7 @@ pub struct BypassSim {
     cfg: BypassSimConfig,
     cost: CostModel,
     services: Vec<ServiceSpec>,
-    nic: DmaNic,
+    host: DmaHost,
     fdir: FlowDirector,
     bindings: BindingManager,
     energy: EnergyMeter,
@@ -115,44 +107,18 @@ pub struct BypassSim {
     check_scheduled: Vec<bool>,
     q: EventQueue<Ev>,
     common: StackCommon,
-    next_buf: u64,
-    server_ip: EndpointAddr,
 }
 
 impl BypassSim {
     /// Builds the dataplane and binds every service round-robin over
     /// the dedicated cores.
     pub fn new(cfg: BypassSimConfig, services: Vec<ServiceSpec>) -> Self {
-        let nic_cfg = match cfg.machine {
-            Machine::EnzianPcie => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::enzian_fpga(cfg.cores as u32)
-            },
-            // Bypass masks interrupts and polls.
-            _ => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::modern_server(cfg.cores as u32)
-            },
-        };
-        let mut nic = DmaNic::new(nic_cfg);
-        // Map a large buffer arena and post descriptors everywhere.
-        nic.iommu_mut().map(0x100_0000, 0x100_0000, 256 << 20, true);
-        for qi in 0..cfg.cores as u32 {
-            for b in 0..128u64 {
-                nic.post_rx(
-                    qi,
-                    RxDescriptor {
-                        buf_iova: 0x100_0000 + (qi as u64 * 128 + b) * 16384,
-                        buf_len: 16384,
-                    },
-                )
-                // lint:allow(panic-path): construction-time ring setup
-                .expect("fresh ring has room");
-            }
-            nic.mask_queue(qi); // Polled mode: interrupts never fire.
+        let mut host = DmaHost::new(cfg.machine, cfg.cores as u32);
+        for q in 0..cfg.cores as u32 {
+            host.nic.mask_queue(q); // Polled mode: interrupts never fire.
         }
         let mut fdir = FlowDirector::new(4096);
-        let mut bindings = BindingManager::new(cfg.cores, cfg.rebind);
+        let mut bindings = BindingManager::new(cfg.cores, RebindCost::default());
         for (i, s) in services.iter().enumerate() {
             let core = i % cfg.cores;
             bindings.bind(s.service_id, core, SimTime::ZERO);
@@ -163,7 +129,7 @@ impl BypassSim {
         let cost = cfg.machine.cost_model();
         BypassSim {
             cost,
-            nic,
+            host,
             fdir,
             bindings,
             energy: EnergyMeter::new(cfg.cores),
@@ -174,9 +140,7 @@ impl BypassSim {
             busy_until: vec![SimTime::ZERO; cfg.cores],
             check_scheduled: vec![false; cfg.cores],
             q: EventQueue::new(),
-            common: StackCommon::new(cfg.wire),
-            next_buf: 0,
-            server_ip: EndpointAddr::host(1, BASE_PORT),
+            common: StackCommon::default(),
             services,
             cfg,
         }
@@ -184,20 +148,12 @@ impl BypassSim {
 
     /// Read access to the NIC.
     pub fn nic(&self) -> &DmaNic {
-        &self.nic
+        &self.host.nic
     }
 
     /// Rebinds performed over the run.
     pub fn rebinds(&self) -> u64 {
         self.bindings.rebinds()
-    }
-
-    fn spec_of(&self, service: u16) -> &ServiceSpec {
-        self.services
-            .iter()
-            .find(|s| s.service_id == service)
-            // lint:allow(panic-path): services are fixed at construction and the flow director only steers registered ports
-            .expect("request targets a registered service")
     }
 
     fn schedule_check(&mut self, core: usize, at: SimTime) {
@@ -210,11 +166,9 @@ impl BypassSim {
     }
 
     fn on_frame(&mut self, raw: PktBuf, request_id: u64, now: SimTime) {
-        self.common.note_arrival(request_id, now);
         // The NIC validates the IPv4/UDP checksums before steering: a
         // corrupted frame never reaches a descriptor.
-        let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
-            self.common.reject_corrupt(request_id, now);
+        let Some(frame) = self.common.receive_frame(&raw, request_id, now) else {
             return;
         };
         // Steering: exact-match rule, else drop (no kernel to fall back
@@ -228,45 +182,36 @@ impl BypassSim {
         }
         let service = frame.udp.dst_port.wrapping_sub(BASE_PORT);
         let payload_len = raw.len() - FRAME_OVERHEAD - RPC_HEADER_LEN;
-        match self.nic.rx_packet_steered(now, &raw, queue) {
-            Ok(delivery) => {
-                // The driver recycles the buffer (refill happens in the
-                // poll loop on real systems; the copy to user space has
-                // completed by then).
-                if self.nic.post_rx(queue, delivery.desc).is_err() {
-                    debug_assert!(false, "slot was just freed");
-                }
-                let core = queue as usize;
-                // Bounded software backlog: when overload control is
-                // armed the poll loop drops the newest packet rather
-                // than growing without limit (drop-tail, like the
-                // kernel's SYN-style backlog).
-                if let Some(ov) = &self.overload {
-                    let depth = self.pending.get(core).map_or(0, |q| q.len());
-                    if depth >= ov.queue_cap {
-                        self.shed_capacity += 1;
-                        self.common.drop_request(request_id, now);
-                        return;
-                    }
-                }
-                if let Some(q) = self.pending.get_mut(core) {
-                    q.push_back(PendingPkt {
-                        ready_at: delivery.ready_at,
-                        request_id,
-                        service,
-                        payload_len,
-                    });
-                }
-                self.schedule_check(core, delivery.ready_at);
-            }
-            Err(RxDrop::NoDescriptor { .. }) => {
+        // The driver recycles the buffer at once (refill happens in the
+        // poll loop on real systems; the copy to user space has
+        // completed by then).
+        let Some(delivery) =
+            self.host
+                .receive(&mut self.common, &raw, request_id, now, Some(queue))
+        else {
+            return;
+        };
+        let core = queue as usize;
+        // Bounded software backlog: when overload control is armed the
+        // poll loop drops the newest packet rather than growing without
+        // limit (drop-tail, like the kernel's SYN-style backlog).
+        if let Some(ov) = &self.overload {
+            let depth = self.pending.get(core).map_or(0, |q| q.len());
+            if depth >= ov.queue_cap {
+                self.shed_capacity += 1;
                 self.common.drop_request(request_id, now);
-            }
-            Err(e) => {
-                debug_assert!(false, "rx failed: {e:?}");
-                self.common.drop_request(request_id, now);
+                return;
             }
         }
+        if let Some(q) = self.pending.get_mut(core) {
+            q.push_back(PendingPkt {
+                ready_at: delivery.ready_at,
+                request_id,
+                service,
+                payload_len,
+            });
+        }
+        self.schedule_check(core, delivery.ready_at);
     }
 
     fn on_core_check(&mut self, core: usize, now: SimTime) {
@@ -311,53 +256,34 @@ impl BypassSim {
         let Some(pkt) = self.pending.get_mut(core).and_then(|q| q.pop_front()) else {
             return;
         };
-        if self.common.tracer.is_enabled() && now > pkt.ready_at {
+        let lane = core as u32;
+        if now > pkt.ready_at {
             // RX-ring residence: DMA-complete at `ready_at`, poll
             // pick-up now. Queueing on the critical path.
-            let root = self.common.root_span(pkt.request_id);
-            self.common.tracer.span(
-                Stage::Queue,
-                Some(pkt.request_id),
-                root,
-                core as u32,
-                pkt.ready_at,
-                now,
-            );
+            self.common
+                .stage_span(Stage::Queue, pkt.request_id, lane, pkt.ready_at, now);
         }
         // The bypass receive path: one poll iteration found the packet,
         // minimal user-space protocol handling, dispatch, software
         // unmarshal (no NIC offload here), then the handler.
         let m = &self.cost;
+        let spec = spec_of(&self.services, service);
         let sw = m.poll_iteration + 250 + 30 + m.unmarshal(pkt.payload_len) + 60;
-        let sw_total = sw + m.copy(self.spec_of(service).response_bytes);
-        let spec_time = self.spec_of(service).service_time;
-        let handler = spec_time.sample(&mut self.common.rng);
-        if let Some(t) = self.common.times_mut(pkt.request_id) {
-            t.handler_start = now + self.cost.cycles(sw);
-        }
+        let sw_total = sw + m.copy(spec.response_bytes);
+        let handler = spec.service_time.sample(&mut self.common.rng);
+        let handler_start = now + m.cycles(sw);
+        self.common.start_handler(pkt.request_id, handler_start);
         // Attributed per request (the driver folds it in only for
         // warmed completions, like the other stacks).
         self.common.charge_req(pkt.request_id, sw_total);
-        if self.common.tracer.is_enabled() {
-            // Sub-span boundaries re-derive the receive-path breakdown;
-            // each clamps to the handler start so per-term rounding can
-            // never push a sub-span past the charged window.
-            let handler_start = now + self.cost.cycles(sw);
-            let root = self.common.root_span(pkt.request_id);
-            let rid = pkt.request_id;
-            let lane = core as u32;
-            let m = &self.cost;
-            let mut t = now;
-            let mut sub = |tr: &mut lauberhorn_sim::SpanTracer, stage, cycles: u64| {
-                let e = (t + m.cycles(cycles)).min(handler_start);
-                tr.span(stage, Some(rid), root, lane, t, e);
-                t = e;
-            };
-            let tr = &mut self.common.tracer;
-            sub(tr, Stage::Poll, m.poll_iteration);
-            sub(tr, Stage::Protocol, 250 + 30);
-            tr.span(Stage::Unmarshal, Some(rid), root, lane, t, handler_start);
-        }
+        self.common.split_spans(
+            pkt.request_id,
+            lane,
+            now..handler_start,
+            m,
+            &[(Stage::Poll, m.poll_iteration), (Stage::Protocol, 250 + 30)],
+            Stage::Unmarshal,
+        );
         let done = now + self.cost.cycles(sw + handler);
         if let Some(b) = self.busy_until.get_mut(core) {
             *b = done;
@@ -374,56 +300,14 @@ impl BypassSim {
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, service: u16, now: SimTime) {
         // Transmit the response: build descriptor, ring the doorbell.
-        let resp_len = self.spec_of(service).response_bytes;
+        let resp_len = spec_of(&self.services, service).response_bytes;
         let frame_len = FRAME_OVERHEAD + RPC_HEADER_LEN + resp_len;
-        self.next_buf = (self.next_buf + 1) % 1024;
-        let tx_done = match self.nic.tx_packet(
-            now + self.nic.doorbell_cost(),
-            TxDescriptor {
-                buf_iova: 0x100_0000 + self.next_buf * 16384,
-                len: frame_len as u32,
-            },
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                // TX ring exhaustion is not modelled as backpressure:
-                // send at the doorbell time and flag the model bug.
-                debug_assert!(false, "tx failed: {e:?}");
-                now + self.nic.doorbell_cost()
-            }
-        };
-        if let Some(t) = self.common.times_mut(request_id) {
-            t.handler_end = now;
-            t.response_tx = tx_done;
-        }
-        if self.common.tracer.is_enabled() {
-            let root = self.common.root_span(request_id);
-            let handler_start = self
-                .common
-                .times(request_id)
-                .map(|t| t.handler_start)
-                .unwrap_or(now);
-            let tr = &mut self.common.tracer;
-            tr.span(
-                Stage::Handler,
-                Some(request_id),
-                root,
-                core as u32,
-                handler_start,
-                now,
-            );
-            tr.span(
-                Stage::Response,
-                Some(request_id),
-                root,
-                NIC_TRACK,
-                now,
-                tx_done,
-            );
-        }
-        let arrive = tx_done + self.common.wire.deliver(frame_len);
-        self.common.complete(arrive, request_id);
-        let doorbell_done = now + self.nic.doorbell_cost();
+        let tx_done = self.host.transmit(now, frame_len);
+        self.common.end_handler(request_id, core as u32, now);
+        self.common
+            .stage_span(Stage::Response, request_id, NIC_TRACK, now, tx_done);
+        self.common.respond(request_id, tx_done, frame_len);
+        let doorbell_done = now + self.host.nic.doorbell_cost();
         if let Some(b) = self.busy_until.get_mut(core) {
             *b = (*b).max(doorbell_done);
         }
@@ -483,8 +367,6 @@ impl ServerStack for BypassSim {
         );
         let cfg = BypassSimConfig {
             machine: machine.machine,
-            cores: machine.cores,
-            wire: machine.wire,
             ..BypassSimConfig::modern(machine.cores)
         };
         BypassSim::new(cfg, services)
@@ -498,10 +380,7 @@ impl ServerStack for BypassSim {
     }
 
     fn server_addr(&self, service: u16) -> EndpointAddr {
-        EndpointAddr {
-            port: BASE_PORT + service,
-            ..self.server_ip
-        }
+        DmaHost::server_addr(service)
     }
 
     fn common(&mut self) -> &mut StackCommon {
@@ -549,21 +428,13 @@ impl ServerStack for BypassSim {
     }
 
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64) {
-        let energy = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
-        let accounts = energy.finish(end);
-        let mut total = CycleAccount::default();
-        for a in &accounts {
-            total.merge(a);
-        }
-        // Bus traffic: PCIe transactions ≈ 4 per rx (descriptor fetch,
-        // payload write, completion write, refill) + 3 per tx, plus one
-        // memory poll per spin iteration (the dominant idle-time term).
-        let stats = self.nic.stats();
-        let spin_time: SimDuration = accounts.iter().map(|a| a.active).sum();
+        let total = self.energy.snapshot_total(end);
+        // Bus traffic: the NIC's PCIe transactions plus one memory poll
+        // per spin iteration (the dominant idle-time term).
         let per_poll = self.cost.cycles(self.cost.poll_iteration);
-        let spin_reads = spin_time.as_ps() / per_poll.as_ps().max(1);
+        let spin_reads = total.active.as_ps() / per_poll.as_ps().max(1);
         let reg = &mut self.common.metrics.registry;
-        stats.export(reg);
+        let fabric = self.host.finish(reg, spin_reads);
         reg.counter("bypass.rebinds", self.bindings.rebinds());
         reg.counter("bypass.spin_reads", spin_reads);
         // Exported only when overload control is armed so clean runs
@@ -576,7 +447,6 @@ impl ServerStack for BypassSim {
                 self.shed_capacity + self.shed_deadline,
             );
         }
-        let fabric = stats.rx_delivered * 4 + stats.tx_frames * 3 + spin_reads;
         (total, fabric)
     }
 }

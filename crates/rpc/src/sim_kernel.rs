@@ -17,9 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use lauberhorn_coherence::cache::{Access, SetAssocCache};
 use lauberhorn_coherence::LineAddr;
-use lauberhorn_nic_dma::nic::RxDrop;
-use lauberhorn_nic_dma::ring::{RxDescriptor, TxDescriptor};
-use lauberhorn_nic_dma::{DmaNic, DmaNicConfig};
+use lauberhorn_nic_dma::DmaNic;
 use lauberhorn_os::proc::ThreadId;
 use lauberhorn_os::sched::WakeDecision;
 use lauberhorn_os::{CostModel, OsScheduler, SocketBacklog};
@@ -29,10 +27,10 @@ use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::{EventQueue, SimDuration, SimTime, SpanId, Stage};
 
+use crate::dma_host::DmaHost;
 use crate::report::Report;
-use crate::spec::{ServiceSpec, WorkloadSpec};
+use crate::spec::{spec_of, ServiceSpec, WorkloadSpec};
 use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, BASE_PORT, NIC_TRACK};
-use crate::wire::WireModel;
 
 /// NAPI poll budget (packets per softirq pass).
 const NAPI_BUDGET: usize = 16;
@@ -47,8 +45,6 @@ pub struct KernelSimConfig {
     /// Whether the NIC allocates incoming payloads into the LLC
     /// (DDIO-style). Off, every payload copy misses to DRAM.
     pub ddio: bool,
-    /// Network model.
-    pub wire: WireModel,
 }
 
 impl KernelSimConfig {
@@ -58,7 +54,6 @@ impl KernelSimConfig {
             machine: Machine::PcPcie,
             cores,
             ddio: true,
-            wire: WireModel::same_rack_100g(),
         }
     }
 
@@ -111,7 +106,7 @@ pub struct KernelSim {
     cfg: KernelSimConfig,
     cost: CostModel,
     services: Vec<ServiceSpec>,
-    nic: DmaNic,
+    host: DmaHost,
     sched: OsScheduler,
     energy: EnergyMeter,
     pending: Vec<VecDeque<PendingPkt>>,
@@ -127,8 +122,6 @@ pub struct KernelSim {
     busy_until: Vec<SimTime>,
     q: EventQueue<Ev>,
     common: StackCommon,
-    next_buf: u64,
-    server_ip: EndpointAddr,
 }
 
 impl KernelSim {
@@ -136,32 +129,10 @@ impl KernelSim {
     /// in `recvmsg`.
     pub fn new(cfg: KernelSimConfig, services: Vec<ServiceSpec>) -> Self {
         let queues = cfg.cores.min(16) as u32;
-        let nic_cfg = match cfg.machine {
-            Machine::EnzianPcie => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::enzian_fpga(queues)
-            },
-            // NAPI masking governs interrupt moderation.
-            _ => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::modern_server(queues)
-            },
-        };
-        let mut nic = DmaNic::new(nic_cfg);
-        nic.iommu_mut().map(0x100_0000, 0x100_0000, 256 << 20, true);
-        for qi in 0..queues {
-            for b in 0..128u64 {
-                nic.post_rx(
-                    qi,
-                    RxDescriptor {
-                        buf_iova: 0x100_0000 + (qi as u64 * 128 + b) * 16384,
-                        buf_len: 16384,
-                    },
-                )
-                // lint:allow(panic-path): construction-time ring setup
-                .expect("fresh ring has room");
-            }
-            nic.steer_queue(qi, qi as usize % cfg.cores);
+        // NAPI masking governs interrupt moderation.
+        let mut host = DmaHost::new(cfg.machine, queues);
+        for q in 0..queues {
+            host.nic.steer_queue(q, q as usize % cfg.cores);
         }
         let mut sched = OsScheduler::new(cfg.cores);
         for s in &services {
@@ -170,7 +141,7 @@ impl KernelSim {
         let cost = cfg.machine.cost_model();
         KernelSim {
             cost,
-            nic,
+            host,
             sched,
             energy: EnergyMeter::new(cfg.cores),
             pending: (0..queues as usize).map(|_| VecDeque::new()).collect(),
@@ -181,9 +152,7 @@ impl KernelSim {
             poll_active: vec![false; queues as usize],
             busy_until: vec![SimTime::ZERO; cfg.cores],
             q: EventQueue::new(),
-            common: StackCommon::new(cfg.wire),
-            next_buf: 0,
-            server_ip: EndpointAddr::host(1, BASE_PORT),
+            common: StackCommon::default(),
             services,
             cfg,
         }
@@ -191,15 +160,7 @@ impl KernelSim {
 
     /// Read access to the NIC.
     pub fn nic(&self) -> &DmaNic {
-        &self.nic
-    }
-
-    fn spec_of(&self, service: u16) -> &ServiceSpec {
-        self.services
-            .iter()
-            .find(|s| s.service_id == service)
-            // lint:allow(panic-path): services are fixed at construction and ports map to registered ids
-            .expect("request targets a registered service")
+        &self.host.nic
     }
 
     /// Runs `cycles` of work on `core` no earlier than `earliest`,
@@ -217,11 +178,9 @@ impl KernelSim {
     }
 
     fn on_frame(&mut self, raw: PktBuf, request_id: u64, now: SimTime) {
-        self.common.note_arrival(request_id, now);
         // The real IPv4/UDP checksums catch in-flight corruption here,
         // exactly where a kernel NIC driver would discard the frame.
-        let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
-            self.common.reject_corrupt(request_id, now);
+        let Some(frame) = self.common.receive_frame(&raw, request_id, now) else {
             return;
         };
         let service = frame.udp.dst_port.wrapping_sub(BASE_PORT);
@@ -229,49 +188,42 @@ impl KernelSim {
             return;
         }
         let payload_len = raw.len() - FRAME_OVERHEAD - RPC_HEADER_LEN;
-        match self.nic.rx_packet(now, &raw) {
-            Ok(delivery) => {
-                let queue = delivery.queue;
-                // Recycle the buffer (drivers refill during NAPI polls).
-                if self.nic.post_rx(queue, delivery.desc).is_err() {
-                    debug_assert!(false, "slot was just freed");
-                }
-                // DDIO: the DMA write allocates the payload into the LLC.
-                if self.cfg.ddio {
-                    let lines = (raw.len()).div_ceil(64) as u64;
-                    for i in 0..lines {
-                        self.llc
-                            .install(LineAddr::containing(delivery.desc.buf_iova + i * 64, 64));
-                    }
-                }
-                if let Some(q) = self.pending.get_mut(queue as usize) {
-                    q.push_back(PendingPkt {
-                        ready_at: delivery.ready_at,
-                        request_id,
-                        service,
-                        payload_len,
-                        buf_iova: delivery.desc.buf_iova,
-                    });
-                }
-                if let Some((core, at)) = delivery.interrupt {
-                    self.q.schedule(at, Ev::Irq { queue, core });
-                }
-                // If the vector was masked, NAPI is active (or the
-                // unmask on poll completion will re-raise).
-            }
-            Err(RxDrop::NoDescriptor { .. }) => {
-                self.common.drop_request(request_id, now);
-            }
-            Err(e) => {
-                debug_assert!(false, "rx failed: {e:?}");
-                self.common.drop_request(request_id, now);
+        // RSS picks the queue; the buffer is recycled at once (drivers
+        // refill during NAPI polls).
+        let Some(delivery) = self
+            .host
+            .receive(&mut self.common, &raw, request_id, now, None)
+        else {
+            return;
+        };
+        let queue = delivery.queue;
+        // DDIO: the DMA write allocates the payload into the LLC.
+        if self.cfg.ddio {
+            let lines = (raw.len()).div_ceil(64) as u64;
+            for i in 0..lines {
+                self.llc
+                    .install(LineAddr::containing(delivery.desc.buf_iova + i * 64, 64));
             }
         }
+        if let Some(q) = self.pending.get_mut(queue as usize) {
+            q.push_back(PendingPkt {
+                ready_at: delivery.ready_at,
+                request_id,
+                service,
+                payload_len,
+                buf_iova: delivery.desc.buf_iova,
+            });
+        }
+        if let Some((core, at)) = delivery.interrupt {
+            self.q.schedule(at, Ev::Irq { queue, core });
+        }
+        // If the vector was masked, NAPI is active (or the unmask on
+        // poll completion will re-raise).
     }
 
     fn on_irq(&mut self, queue: u32, core: usize, now: SimTime) {
         // Hard IRQ: mask the vector, schedule the softirq.
-        self.nic.mask_queue(queue);
+        self.host.nic.mask_queue(queue);
         if let Some(p) = self.poll_active.get_mut(queue as usize) {
             *p = true;
         }
@@ -308,15 +260,8 @@ impl KernelSim {
             let (ps, end) = self.charge_core(core, t, per_pkt);
             t = end;
             self.common.charge_req(pkt.request_id, per_pkt);
-            let root = self.common.root_span(pkt.request_id);
-            self.common.tracer.span(
-                Stage::Protocol,
-                Some(pkt.request_id),
-                root,
-                core as u32,
-                ps,
-                end,
-            );
+            self.common
+                .stage_span(Stage::Protocol, pkt.request_id, core as u32, ps, end);
             // Enqueue on the destination socket (bounded SYN-style when
             // overload control is armed) and wake its thread.
             let (cap, deadline) = self.sock_limits;
@@ -356,14 +301,8 @@ impl KernelSim {
                         self.common
                             .charge_req(pkt.request_id, self.cost.ipi_send + self.cost.ipi_receive);
                     }
-                    self.common.tracer.span(
-                        Stage::Wakeup,
-                        Some(pkt.request_id),
-                        root,
-                        core as u32,
-                        ws,
-                        t,
-                    );
+                    self.common
+                        .stage_span(Stage::Wakeup, pkt.request_id, core as u32, ws, t);
                     self.q.schedule(
                         start_at,
                         Ev::UserRun {
@@ -379,14 +318,8 @@ impl KernelSim {
                     let wake = self.cost.wakeup;
                     let (ws, end) = self.charge_core(core, t, wake);
                     t = end;
-                    self.common.tracer.span(
-                        Stage::Wakeup,
-                        Some(pkt.request_id),
-                        root,
-                        core as u32,
-                        ws,
-                        end,
-                    );
+                    self.common
+                        .stage_span(Stage::Wakeup, pkt.request_id, core as u32, ws, end);
                 }
                 Err(_) => {
                     // No thread serves this socket (the workload asked
@@ -432,7 +365,7 @@ impl KernelSim {
                 sirq_start,
                 end,
             );
-            if let Some(target) = self.nic.unmask_queue(queue) {
+            if let Some(target) = self.host.nic.unmask_queue(queue) {
                 self.q.schedule(
                     end,
                     Ev::Irq {
@@ -466,18 +399,12 @@ impl KernelSim {
             self.block_and_dispatch(core, now);
             return;
         };
-        if self.common.tracer.is_enabled() && now > enq_t {
+        let lane = core as u32;
+        if now > enq_t {
             // Socket-backlog residence: enqueue at softirq time, pick-up
             // now. Queueing, not service — blame tables split on it.
-            let root = self.common.root_span(request_id);
-            self.common.tracer.span(
-                Stage::Queue,
-                Some(request_id),
-                root,
-                core as u32,
-                enq_t,
-                now,
-            );
+            self.common
+                .stage_span(Stage::Queue, request_id, lane, enq_t, now);
         }
         // The recvmsg copy touches every payload line: LLC hits are the
         // base copy cost; misses stall to DRAM (~180 cycles each).
@@ -490,46 +417,32 @@ impl KernelSim {
             }
         }
         let m = &self.cost;
-        let mut sw =
-            m.syscall + m.copy(payload_len) + miss_cycles + m.unmarshal(payload_len) + 60 + 5;
+        let copy = m.copy(payload_len) + miss_cycles;
+        let mut sw = m.syscall + copy + m.unmarshal(payload_len) + 60 + 5;
         if fresh {
             sw += m.full_context_switch();
         }
         let (s0, handler_start) = self.charge_core(core, now, sw);
         self.common.charge_req(request_id, sw);
-        if let Some(t) = self.common.times_mut(request_id) {
-            t.handler_start = handler_start;
-        }
-        if self.common.tracer.is_enabled() {
-            // Sub-span boundaries re-derive the cost breakdown from the
-            // same model values; the single charge above is untouched.
-            // Boundaries clamp to `handler_start` so per-term rounding
-            // can never push a sub-span past the charged window.
-            let root = self.common.root_span(request_id);
-            let lane = core as u32;
-            let m = &self.cost;
-            let mut t = s0;
-            let mut sub = |tr: &mut lauberhorn_sim::SpanTracer, stage, cycles: u64| {
-                let e = (t + m.cycles(cycles)).min(handler_start);
-                tr.span(stage, Some(request_id), root, lane, t, e);
-                t = e;
-            };
-            let tr = &mut self.common.tracer;
-            if fresh {
-                sub(tr, Stage::ContextSwitch, m.full_context_switch());
-            }
-            sub(tr, Stage::Syscall, m.syscall);
-            sub(tr, Stage::Copy, m.copy(payload_len) + miss_cycles);
-            tr.span(
-                Stage::Unmarshal,
-                Some(request_id),
-                root,
-                lane,
-                t,
-                handler_start,
-            );
-        }
-        let spec_time = self.spec_of(service).service_time;
+        self.common.start_handler(request_id, handler_start);
+        // The single charge above, broken down by stage; a warm
+        // receiver pays no context switch.
+        let m = &self.cost;
+        let parts = [
+            (Stage::ContextSwitch, m.full_context_switch()),
+            (Stage::Syscall, m.syscall),
+            (Stage::Copy, copy),
+        ];
+        let parts = parts.get(usize::from(!fresh)..).unwrap_or_default();
+        self.common.split_spans(
+            request_id,
+            lane,
+            s0..handler_start,
+            m,
+            parts,
+            Stage::Unmarshal,
+        );
+        let spec_time = spec_of(&self.services, service).service_time;
         let handler = spec_time.sample(&mut self.common.rng);
         let (_, done) = self.charge_core(core, handler_start, handler);
         self.q.schedule(
@@ -567,67 +480,20 @@ impl KernelSim {
     }
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, service: u16, now: SimTime) {
-        let resp_len = self.spec_of(service).response_bytes;
+        let resp_len = spec_of(&self.services, service).response_bytes;
         let frame_len = FRAME_OVERHEAD + RPC_HEADER_LEN + resp_len;
         // sendmsg: syscall, copy, doorbell.
         let sw = self.cost.syscall + self.cost.copy(resp_len);
         let (send_s, end) = self.charge_core(core, now, sw);
         self.common.charge_req(request_id, sw);
-        self.next_buf = (self.next_buf + 1) % 1024;
-        let tx_done = match self.nic.tx_packet(
-            end + self.nic.doorbell_cost(),
-            TxDescriptor {
-                buf_iova: 0x100_0000 + self.next_buf * 16384,
-                len: frame_len as u32,
-            },
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                // TX ring exhaustion is not modelled as backpressure:
-                // send at the doorbell time and flag the model bug.
-                debug_assert!(false, "tx failed: {e:?}");
-                end + self.nic.doorbell_cost()
-            }
-        };
-        if let Some(t) = self.common.times_mut(request_id) {
-            t.handler_end = now;
-            t.response_tx = tx_done;
-        }
-        if self.common.tracer.is_enabled() {
-            let root = self.common.root_span(request_id);
-            let handler_start = self
-                .common
-                .times(request_id)
-                .map(|t| t.handler_start)
-                .unwrap_or(now);
-            let tr = &mut self.common.tracer;
-            tr.span(
-                Stage::Handler,
-                Some(request_id),
-                root,
-                core as u32,
-                handler_start,
-                now,
-            );
-            tr.span(
-                Stage::SendMsg,
-                Some(request_id),
-                root,
-                core as u32,
-                send_s,
-                end,
-            );
-            tr.span(
-                Stage::Response,
-                Some(request_id),
-                root,
-                NIC_TRACK,
-                end,
-                tx_done,
-            );
-        }
-        let arrive = tx_done + self.common.wire.deliver(frame_len);
-        self.common.complete(arrive, request_id);
+        let tx_done = self.host.transmit(end, frame_len);
+        let lane = core as u32;
+        self.common.end_handler(request_id, lane, now);
+        self.common
+            .stage_span(Stage::SendMsg, request_id, lane, send_s, end);
+        self.common
+            .stage_span(Stage::Response, request_id, NIC_TRACK, end, tx_done);
+        self.common.respond(request_id, tx_done, frame_len);
         // More requests on this socket? Stay in recvmsg loop (warm).
         let more = self.socket_q.get(&service).is_some_and(|q| !q.is_empty());
         if more {
@@ -659,8 +525,6 @@ impl ServerStack for KernelSim {
         );
         let cfg = KernelSimConfig {
             machine: machine.machine,
-            cores: machine.cores,
-            wire: machine.wire,
             ..KernelSimConfig::modern(machine.cores)
         };
         KernelSim::new(cfg, services)
@@ -674,10 +538,7 @@ impl ServerStack for KernelSim {
     }
 
     fn server_addr(&self, service: u16) -> EndpointAddr {
-        EndpointAddr {
-            port: BASE_PORT + service,
-            ..self.server_ip
-        }
+        DmaHost::server_addr(service)
     }
 
     fn common(&mut self) -> &mut StackCommon {
@@ -724,15 +585,10 @@ impl ServerStack for KernelSim {
     }
 
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64) {
-        let energy = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
-        let accounts = energy.finish(end);
-        let mut total = CycleAccount::default();
-        for a in &accounts {
-            total.merge(a);
-        }
-        let stats = self.nic.stats();
+        let total = self.energy.snapshot_total(end);
         let reg = &mut self.common.metrics.registry;
-        stats.export(reg);
+        let irqs = self.host.nic.stats().interrupts;
+        let fabric = self.host.finish(reg, irqs);
         self.sched.stats().export(reg);
         // Overload counters only exist when overload control is armed,
         // preserving the zero-perturbation digest of clean runs.
@@ -745,7 +601,6 @@ impl ServerStack for KernelSim {
             reg.counter("os.overload.shed_deadline", exp);
             reg.counter("os.overload.shed", rej + exp);
         }
-        let fabric = stats.rx_delivered * 4 + stats.tx_frames * 3 + stats.interrupts;
         (total, fabric)
     }
 }

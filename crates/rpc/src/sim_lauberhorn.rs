@@ -37,9 +37,8 @@ use lauberhorn_sim::fault::{FaultDecision, NicFaultKind, NicFaultSpec};
 use lauberhorn_sim::{EventQueue, SimDuration, SimRng, SimTime, SpanId, Stage};
 
 use crate::report::Report;
-use crate::spec::{Behavior, ServiceSpec, WorkloadSpec};
+use crate::spec::{spec_of, Behavior, ServiceSpec, WorkloadSpec};
 use crate::stack::{MachineConfig, ServerStack, StackCommon, NIC_TRACK};
-use crate::wire::WireModel;
 
 // The machine catalogue lives in the centralized `stack` module;
 // re-exported here for the historical import path.
@@ -59,8 +58,6 @@ pub struct LauberhornSimConfig {
     pub yield_after: u32,
     /// Overrides the 15 ms TRYAGAIN window (ablation `abl_tryagain`).
     pub tryagain_timeout: Option<lauberhorn_sim::SimDuration>,
-    /// Network model.
-    pub wire: WireModel,
 }
 
 impl LauberhornSimConfig {
@@ -71,7 +68,6 @@ impl LauberhornSimConfig {
             cores,
             yield_after: 1,
             tryagain_timeout: None,
-            wire: WireModel::same_rack_100g(),
         }
     }
 
@@ -364,7 +360,7 @@ impl LauberhornSim {
             cores,
             user_eps: BTreeMap::new(),
             q: EventQueue::new(),
-            common: StackCommon::new(cfg.wire),
+            common: StackCommon::default(),
             resp_payload: BTreeMap::new(),
             record_responses: false,
             server_addr,
@@ -398,14 +394,6 @@ impl LauberhornSim {
     /// Read access to the coherence domain.
     pub fn coherence(&self) -> &CoherentSystem {
         &self.coh
-    }
-
-    fn spec_of(&self, service: u16) -> &ServiceSpec {
-        self.services
-            .iter()
-            .find(|s| s.service_id == service)
-            // lint:allow(panic-path): services are fixed at construction and the NIC only dispatches registered ids
-            .expect("request targets a registered service")
     }
 
     /// Per-core contexts: created once in `new` for ids `0..cfg.cores`;
@@ -619,7 +607,7 @@ impl LauberhornSim {
         // The Figure 5 transition: the core context-switches into the
         // target process and will thereafter park on that process's
         // dedicated endpoint.
-        let process = self.spec_of(service).process;
+        let process = spec_of(&self.services, service).process;
         let cycles = self.cost.sched_pick + self.cost.full_context_switch();
         let end = self.charge(core, now, cycles, None);
         let (ep, layout) = match self.user_eps.get(&(service, core)) {
@@ -728,44 +716,24 @@ impl LauberhornSim {
                     let per_line = self.coh.device_fabric().data_lat / 4;
                     t += per_line * n_aux as u64;
                 }
-                let root = self.common.root_span(request_id);
-                if self.common.tracer.is_enabled() {
-                    let t0 = self.common.arrival_span_start(request_id);
-                    if t0 != SimTime::ZERO {
-                        self.common.tracer.span(
-                            Stage::ControlFill,
-                            Some(request_id),
-                            root,
-                            NIC_TRACK,
-                            t0,
-                            now,
-                        );
-                    }
+                let t0 = self.common.arrival_span_start(request_id);
+                if t0 != SimTime::ZERO {
+                    self.common
+                        .stage_span(Stage::ControlFill, request_id, NIC_TRACK, t0, now);
                 }
+                let lane = core as u32;
                 if self.ctx(core).mode == LoopMode::Kernel {
                     // Figure 5 kernel path: switch into the process.
                     t = self.enter_user_loop(core, service, t);
                     sw += self.cost.sched_pick + self.cost.full_context_switch();
-                    self.common.tracer.span(
-                        Stage::KernelDispatch,
-                        Some(request_id),
-                        root,
-                        core as u32,
-                        now,
-                        t,
-                    );
+                    self.common
+                        .stage_span(Stage::KernelDispatch, request_id, lane, now, t);
                 } else {
                     // User fast path: consume the dispatch form.
                     t = self.charge(core, t, self.cost.dispatch_form_consume, Some(request_id));
                     sw += self.cost.dispatch_form_consume;
-                    self.common.tracer.span(
-                        Stage::FastDispatch,
-                        Some(request_id),
-                        root,
-                        core as u32,
-                        now,
-                        t,
-                    );
+                    self.common
+                        .stage_span(Stage::FastDispatch, request_id, lane, now, t);
                 }
                 if kind == DispatchKind::DmaDescriptor {
                     // Handler pulls the payload from the DMA buffer.
@@ -774,25 +742,17 @@ impl LauberhornSim {
                     let copy_start = t;
                     t = self.charge(core, t, copy, Some(request_id));
                     sw += copy;
-                    self.common.tracer.span(
-                        Stage::Copy,
-                        Some(request_id),
-                        root,
-                        core as u32,
-                        copy_start,
-                        t,
-                    );
+                    self.common
+                        .stage_span(Stage::Copy, request_id, lane, copy_start, t);
                 } else {
                     let _ = arg_len; // Args arrived in-line: already in registers.
                 }
                 self.common.charge_req(request_id, sw);
-                if let Some(times) = self.common.times_mut(request_id) {
-                    times.handler_start = t;
-                }
+                self.common.start_handler(request_id, t);
                 // Application logic: run the real handler over the bytes
                 // that actually arrived through the stack.
                 if kind == DispatchKind::Rpc && n_aux == 0 {
-                    if let Behavior::Handler(f) = &self.spec_of(service).behavior {
+                    if let Behavior::Handler(f) = &spec_of(&self.services, service).behavior {
                         let f = f.clone();
                         if let Ok(line) = lauberhorn_nic::dispatch::DispatchLine::decode(data, &[])
                         {
@@ -815,7 +775,7 @@ impl LauberhornSim {
                     }
                 }
                 self.energy.set_state(core, CoreState::Active, t);
-                let service_time = self.spec_of(service).service_time;
+                let service_time = spec_of(&self.services, service).service_time;
                 let handler = service_time.sample(&mut self.common.rng);
                 self.ctx_mut(core).resp_addr = Some(addr);
                 self.ctx_mut(core).cur_req = Some(request_id);
@@ -829,9 +789,8 @@ impl LauberhornSim {
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, now: SimTime) {
         self.ctx_mut(core).cur_req = None;
-        if let Some(times) = self.common.times_mut(request_id) {
-            times.handler_end = now;
-        }
+        let lane = core as u32;
+        self.common.end_handler(request_id, lane, now);
         // Write the response into the CONTROL line we hold Exclusive.
         let Some(addr) = self.ctx_mut(core).resp_addr.take() else {
             debug_assert!(false, "handler had a request line");
@@ -847,7 +806,7 @@ impl LauberhornSim {
         // The response goes from the handler's stack straight into the
         // line: a real handler's payload, or a synthetic one.
         let mut synthetic = Line::zeroed(
-            self.spec_of(service)
+            spec_of(&self.services, service)
                 .response_bytes
                 .min(self.coh.line_size()),
         );
@@ -862,31 +821,8 @@ impl LauberhornSim {
             debug_assert!(false, "core holds the line exclusive");
         }
         let end = self.charge(core, now, 15, Some(request_id)); // Store + fence.
-        if self.common.tracer.is_enabled() {
-            let root = self.common.root_span(request_id);
-            let handler_start = self
-                .common
-                .times(request_id)
-                .map(|t| t.handler_start)
-                .unwrap_or(now);
-            let tr = &mut self.common.tracer;
-            tr.span(
-                Stage::Handler,
-                Some(request_id),
-                root,
-                core as u32,
-                handler_start,
-                now,
-            );
-            tr.span(
-                Stage::Response,
-                Some(request_id),
-                root,
-                core as u32,
-                now,
-                end,
-            );
-        }
+        self.common
+            .stage_span(Stage::Response, request_id, lane, now, end);
         self.q.schedule(end, Ev::IssueLoad { core });
     }
 
@@ -909,7 +845,9 @@ impl LauberhornSim {
                 );
                 n
             }
-            None => self.spec_of(ctx.service_id).response_bytes.min(data.len()),
+            None => spec_of(&self.services, ctx.service_id)
+                .response_bytes
+                .min(data.len()),
         };
         if self.record_responses {
             // lint:allow(unbounded-growth): response capture is a conformance-test mode, off in benchmarks
@@ -932,20 +870,10 @@ impl LauberhornSim {
             return;
         }
         let tx_time = now + lat;
-        if let Some(times) = self.common.times_mut(ctx.request_id) {
-            times.response_tx = tx_time;
-        }
-        let root = self.common.root_span(ctx.request_id);
-        self.common.tracer.span(
-            Stage::Collect,
-            Some(ctx.request_id),
-            root,
-            NIC_TRACK,
-            now,
-            tx_time,
-        );
-        let arrive = tx_time + self.common.wire.deliver(self.tx_frame.len());
-        self.common.complete(arrive, ctx.request_id);
+        self.common
+            .stage_span(Stage::Collect, ctx.request_id, NIC_TRACK, now, tx_time);
+        self.common
+            .respond(ctx.request_id, tx_time, self.tx_frame.len());
     }
 
     /// An injected process crash ([`lauberhorn_sim::fault::CrashSpec`])
@@ -1123,7 +1051,7 @@ impl LauberhornSim {
             .enumerate()
             .map(|(c, core)| {
                 let p = match core.mode {
-                    LoopMode::User { service } => Some(self.spec_of(service).process),
+                    LoopMode::User { service } => Some(spec_of(&self.services, service).process),
                     LoopMode::Kernel => None,
                 };
                 (c, p)
@@ -1271,9 +1199,10 @@ impl ServerStack for LauberhornSim {
             machine.machine.is_coherent(),
             "the Lauberhorn stack needs a coherent fabric"
         );
-        let mut cfg = LauberhornSimConfig::enzian(machine.cores);
-        cfg.machine = machine.machine;
-        cfg.wire = machine.wire;
+        let cfg = LauberhornSimConfig {
+            machine: machine.machine,
+            ..LauberhornSimConfig::enzian(machine.cores)
+        };
         LauberhornSim::new(cfg, services)
     }
 
@@ -1361,12 +1290,10 @@ impl ServerStack for LauberhornSim {
         };
         match ev {
             Ev::FrameAtNic { raw, request_id } => {
-                self.common.note_arrival(request_id, now);
                 // The NIC's line-rate parser checks the real IPv4/UDP
                 // checksums: a corrupted frame dies here, before any
                 // endpoint state is touched. The NIC reuses this parse.
-                let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
-                    self.common.reject_corrupt(request_id, now);
+                let Some(frame) = self.common.receive_frame(&raw, request_id, now) else {
                     return;
                 };
                 // Degraded mode: a reset NIC asserts link-level flow
@@ -1462,8 +1389,7 @@ impl ServerStack for LauberhornSim {
             }
             Ev::ReplayFrame { raw, request_id } => {
                 self.recovery.replayed += 1;
-                let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
-                    self.common.reject_corrupt(request_id, now);
+                let Some(frame) = self.common.receive_frame(&raw, request_id, now) else {
                     return;
                 };
                 if self.common.rx_gate(request_id, now) == crate::stack::RxGate::Duplicate {
@@ -1496,12 +1422,7 @@ impl ServerStack for LauberhornSim {
     }
 
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64) {
-        let energy = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
-        let accounts = energy.finish(end);
-        let mut total = CycleAccount::default();
-        for a in &accounts {
-            total.merge(a);
-        }
+        let total = self.energy.snapshot_total(end);
         let coh_stats = self.coh.stats();
         let reg = &mut self.common.metrics.registry;
         self.nic.export_metrics(reg);

@@ -98,6 +98,15 @@ impl ServiceSpec {
     }
 }
 
+/// The spec of `service` among a stack's `services`.
+pub(crate) fn spec_of(services: &[ServiceSpec], service: u16) -> &ServiceSpec {
+    services
+        .iter()
+        .find(|s| s.service_id == service)
+        // lint:allow(panic-path): services are fixed at construction and every stack only steers, demuxes or dispatches registered ids
+        .expect("request targets a registered service")
+}
+
 /// How clients drive the system.
 #[derive(Debug, Clone)]
 pub enum LoadMode {

@@ -10,10 +10,11 @@
 //! the same request byte stream.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use lauberhorn_os::CostModel;
 use lauberhorn_packet::frame::EndpointAddr;
-use lauberhorn_packet::PktBuf;
+use lauberhorn_packet::{PktBuf, UdpFrameRef};
 use lauberhorn_sim::energy::CycleAccount;
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
 use lauberhorn_sim::{
@@ -190,26 +191,20 @@ impl Machine {
     }
 }
 
-/// The machine-level configuration every stack shares: which hardware,
-/// how many cores, and what network sits in front of it.
+/// The machine-level configuration every stack shares: which hardware
+/// and how many cores.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// The hardware substrate.
     pub machine: Machine,
     /// Cores available for RPC serving.
     pub cores: usize,
-    /// Client↔server network model.
-    pub wire: WireModel,
 }
 
 impl MachineConfig {
-    /// A machine with the default same-rack 100 Gb/s network.
+    /// `cores` serving cores of `machine`.
     pub fn new(machine: Machine, cores: usize) -> Self {
-        MachineConfig {
-            machine,
-            cores,
-            wire: WireModel::same_rack_100g(),
-        }
+        MachineConfig { machine, cores }
     }
 }
 
@@ -217,11 +212,16 @@ impl MachineConfig {
 /// bookkeeping, the server-side RNG, and the client-side event queue
 /// the generic driver drains.
 ///
-/// Stacks mutate this directly from their event handlers (noting
-/// arrival times, charging software cycles, completing or dropping
-/// requests); the driver owns generation, warmup and finalisation.
+/// Stacks report a request's milestones here from their event handlers
+/// (frame arrived, handler started or ended, a stage ran, response
+/// left, request dropped) and never touch its timestamps or root span
+/// themselves; the driver owns generation, warmup and finalisation.
+/// The milestone methods run on every request from other modules, so
+/// they are `#[inline]`: without it they stay out-of-line calls across
+/// codegen units, which measurably slowed the stacks.
 pub struct StackCommon {
-    /// Network model between client and server.
+    /// Network model between client and server: the same-rack
+    /// 100 Gb/s link.
     pub wire: WireModel,
     /// Server-side randomness (handler service times). The *client*
     /// stream lives in the driver so that every stack sees an
@@ -269,11 +269,10 @@ pub struct StackCommon {
     pub service_of: BTreeMap<u64, u16>,
 }
 
-impl StackCommon {
-    /// Fresh driver state for a stack fronted by `wire`.
-    pub fn new(wire: WireModel) -> Self {
+impl Default for StackCommon {
+    fn default() -> Self {
         StackCommon {
-            wire,
+            wire: WireModel::same_rack_100g(),
             rng: SimRng::root(0),
             metrics: MetricsCollector::default(),
             in_flight: Default::default(),
@@ -289,7 +288,9 @@ impl StackCommon {
             service_of: BTreeMap::new(),
         }
     }
+}
 
+impl StackCommon {
     /// Resets per-run state. Called by the driver before `prepare`.
     pub fn begin(&mut self, workload: &WorkloadSpec) {
         self.rng = SimRng::stream(workload.seed, "server");
@@ -319,10 +320,33 @@ impl StackCommon {
         self.retry_active
     }
 
+    /// `request_id`'s frame `raw` reached the server NIC at `now`: notes
+    /// the arrival, then checks the real IPv4/UDP checksums. `None`
+    /// means the frame was corrupt or truncated; it has been counted
+    /// and the request dropped.
+    #[inline]
+    pub fn receive_frame<'a>(
+        &mut self,
+        raw: &'a [u8],
+        request_id: u64,
+        now: SimTime,
+    ) -> Option<UdpFrameRef<'a>> {
+        self.note_arrival(request_id, now);
+        match lauberhorn_packet::parse_udp_frame_ref(raw) {
+            Ok(frame) => Some(frame),
+            Err(_) => {
+                self.reject_corrupt(request_id, now);
+                None
+            }
+        }
+    }
+
     /// Records that `request_id`'s frame reached the server NIC. Under
     /// retransmission only the first arrival counts, so a duplicate
-    /// arriving mid-execution cannot corrupt the latency accounting.
-    pub fn note_arrival(&mut self, request_id: u64, now: SimTime) {
+    /// arriving mid-execution, or a frame replayed from a backlog,
+    /// cannot corrupt the latency accounting.
+    #[inline]
+    fn note_arrival(&mut self, request_id: u64, now: SimTime) {
         let Some(r) = self.in_flight.get_mut(&request_id) else {
             return;
         };
@@ -340,21 +364,11 @@ impl StackCommon {
         }
     }
 
-    /// `request_id`'s timestamps, while it is in flight.
-    pub fn times(&self, request_id: u64) -> Option<&RequestTimes> {
-        self.in_flight.get(&request_id).map(|r| &r.times)
-    }
-
-    /// Mutable access to `request_id`'s timestamps, while it is in
-    /// flight.
-    pub fn times_mut(&mut self, request_id: u64) -> Option<&mut RequestTimes> {
-        self.in_flight.get_mut(&request_id).map(|r| &mut r.times)
-    }
-
     /// The open root span for `request_id` ([`SpanId::NONE`] when
     /// tracing is off or the request has no root) — the parent for
-    /// every stage span a stack records about this request.
-    pub fn root_span(&self, request_id: u64) -> SpanId {
+    /// every stage span recorded about this request.
+    #[inline]
+    fn root_span(&self, request_id: u64) -> SpanId {
         self.in_flight
             .get(&request_id)
             .and_then(|r| r.root_span)
@@ -362,9 +376,88 @@ impl StackCommon {
     }
 
     /// Attributes `cycles` of stack software overhead to `request_id`.
+    #[inline]
     pub fn charge_req(&mut self, request_id: u64, cycles: u64) {
         if let Some(r) = self.in_flight.get_mut(&request_id) {
             r.sw_cycles += cycles;
+        }
+    }
+
+    /// `request_id` spent `[start, end)` in `stage` on display `lane`:
+    /// records the span under the request's root. Free while tracing is
+    /// off.
+    #[inline]
+    pub fn stage_span(
+        &mut self,
+        stage: Stage,
+        request_id: u64,
+        lane: u32,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let root = self.root_span(request_id);
+        self.tracer
+            .span(stage, Some(request_id), root, lane, start, end);
+    }
+
+    /// Splits one charged window of `request_id` on `lane` into
+    /// back-to-back stage spans: each `(stage, cycles)` part in order,
+    /// then `rest` up to `window.end`. Boundaries re-derive the
+    /// breakdown from the same `cost` model values the single charge
+    /// used, and clamp to `window.end`, so per-term rounding can never
+    /// push a span past the charged window. Free while tracing is off.
+    #[inline]
+    pub fn split_spans(
+        &mut self,
+        request_id: u64,
+        lane: u32,
+        window: Range<SimTime>,
+        cost: &CostModel,
+        parts: &[(Stage, u64)],
+        rest: Stage,
+    ) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let root = self.root_span(request_id);
+        let mut t = window.start;
+        for &(stage, cycles) in parts {
+            let end = (t + cost.cycles(cycles)).min(window.end);
+            self.tracer
+                .span(stage, Some(request_id), root, lane, t, end);
+            t = end;
+        }
+        self.tracer
+            .span(rest, Some(request_id), root, lane, t, window.end);
+    }
+
+    /// `request_id`'s handler starts at `at`.
+    #[inline]
+    pub fn start_handler(&mut self, request_id: u64, at: SimTime) {
+        if let Some(r) = self.in_flight.get_mut(&request_id) {
+            r.times.handler_start = at;
+        }
+    }
+
+    /// `request_id`'s handler on `lane` ended at `now`: stamps the end
+    /// and records the `Handler` span from the handler's start. A
+    /// request no longer in flight gets a zero-length span at `now`,
+    /// with no parent.
+    #[inline]
+    pub fn end_handler(&mut self, request_id: u64, lane: u32, now: SimTime) {
+        let (root, start) = match self.in_flight.get_mut(&request_id) {
+            Some(r) => {
+                r.times.handler_end = now;
+                (r.root_span.unwrap_or(SpanId::NONE), r.times.handler_start)
+            }
+            None => (SpanId::NONE, now),
+        };
+        if self.tracer.is_enabled() {
+            self.tracer
+                .span(Stage::Handler, Some(request_id), root, lane, start, now);
         }
     }
 
@@ -460,10 +553,15 @@ impl StackCommon {
         self.dedup.as_mut()?.get_mut(request_id as usize)
     }
 
-    /// The response for `request_id` reaches the client at `arrive`;
-    /// the driver does the warmup/metrics/closed-loop bookkeeping.
-    pub fn complete(&mut self, arrive: SimTime, request_id: u64) {
+    /// `request_id`'s `frame_len`-byte response left the server NIC at
+    /// `tx_done`: stamps it and schedules its delivery to the client,
+    /// which closes the request's root span on arrival. The driver
+    /// does the warmup/metrics/closed-loop bookkeeping.
+    #[inline]
+    pub fn respond(&mut self, request_id: u64, tx_done: SimTime, frame_len: usize) {
+        let arrive = tx_done + self.wire.deliver(frame_len);
         if let Some(r) = self.in_flight.get_mut(&request_id) {
+            r.times.response_tx = tx_done;
             if let Some(root) = r.root_span.take() {
                 r.end_wait(&mut self.tracer, arrive);
                 self.tracer.end(root, arrive);
@@ -572,7 +670,7 @@ impl StackCommon {
 
     /// A corrupted or truncated frame failed validation at the server
     /// at `at`: count it and (without retry) terminate the request.
-    pub fn reject_corrupt(&mut self, request_id: u64, at: SimTime) {
+    fn reject_corrupt(&mut self, request_id: u64, at: SimTime) {
         self.metrics.faults.checksum_dropped += 1;
         self.drop_request(request_id, at);
     }
@@ -653,19 +751,49 @@ pub trait ServerStack {
 
 #[cfg(test)]
 mod tests {
+    use lauberhorn_sim::{ObserveSpec, SpanRecord};
     use lauberhorn_workload::SizeDist;
 
     use super::*;
     use crate::RetryPolicy;
+
+    fn echo_workload() -> WorkloadSpec {
+        WorkloadSpec::open_poisson(1000.0, 1, 0.0, SizeDist::Fixed { bytes: 64 }, 1, 7)
+    }
+
+    /// Common state for a run observed through `observe`, with request
+    /// `id` in flight and its frame at the NIC at `arrival`, which
+    /// opens its root span while tracing.
+    fn with_request(observe: ObserveSpec, id: u64, arrival: SimTime) -> StackCommon {
+        let mut c = StackCommon::default();
+        c.begin(&echo_workload().with_observe(observe));
+        c.in_flight
+            .insert(id, InFlight::new(SimTime::ZERO, 0, 0, None));
+        c.note_arrival(id, arrival);
+        c
+    }
+
+    /// `(stage, start, end)` of every span after the root, checking
+    /// that each belongs to `id` and hangs off the root.
+    fn children(spans: &[SpanRecord], id: u64) -> Vec<(Stage, SimTime, Option<SimTime>)> {
+        let (root, rest) = spans.split_first().expect("a root span");
+        assert_eq!(root.stage, Stage::Request);
+        rest.iter()
+            .map(|s| {
+                assert_eq!(s.parent, root.id, "{:?} is not under the root", s.stage);
+                assert_eq!(s.request_id, Some(id));
+                (s.stage, s.start, s.end)
+            })
+            .collect()
+    }
 
     /// The at-most-once byte table through every transition the
     /// stacks drive: execute, suppress, replay, forget, re-execute,
     /// and the double-completion alarm.
     #[test]
     fn dedup_table_walks_the_at_most_once_state_machine() {
-        let wl = WorkloadSpec::open_poisson(1000.0, 1, 0.0, SizeDist::Fixed { bytes: 64 }, 1, 7)
-            .with_retry(RetryPolicy::same_rack());
-        let mut c = StackCommon::new(WireModel::same_rack_100g());
+        let wl = echo_workload().with_retry(RetryPolicy::same_rack());
+        let mut c = StackCommon::default();
         c.begin(&wl);
         let t = SimTime::from_us(1);
         let id = 5;
@@ -674,18 +802,113 @@ mod tests {
         assert_eq!(c.rx_gate(id, t), RxGate::Duplicate);
         assert_eq!(c.metrics.faults.dedup_dropped, 1);
 
-        c.complete(t, id);
+        c.respond(id, t, 0);
         assert_eq!(c.rx_gate(id, t), RxGate::Duplicate);
         assert_eq!(c.metrics.faults.dedup_replayed, 1);
 
         c.dedup_forget(id);
         assert_eq!(c.rx_gate(id, t), RxGate::Execute);
-        c.complete(t, id);
+        c.respond(id, t, 0);
         assert_eq!(c.metrics.faults.dup_executions, 0);
-        c.complete(t, id);
+        c.respond(id, t, 0);
         assert_eq!(c.metrics.faults.dup_executions, 1);
 
         // Lower ids the table grew over are untouched.
         assert_eq!(c.rx_gate(0, t), RxGate::Execute);
+    }
+
+    /// Each part of a charged window becomes one span, back to back,
+    /// and `rest` runs to the window's end, all under the root.
+    #[test]
+    fn split_spans_chains_the_parts_under_the_root() {
+        let id = 3;
+        let mut c = with_request(ObserveSpec::full(), id, SimTime::from_us(1));
+        let cost = CostModel::linux_server();
+        let start = SimTime::from_us(2);
+        let end = start + cost.cycles(1000);
+        let parts = [(Stage::Poll, 100), (Stage::Protocol, 300)];
+        c.split_spans(id, 0, start..end, &cost, &parts, Stage::Unmarshal);
+
+        let poll_end = start + cost.cycles(100);
+        let protocol_end = poll_end + cost.cycles(300);
+        assert_eq!(
+            children(c.tracer.spans(), id),
+            [
+                (Stage::Poll, start, Some(poll_end)),
+                (Stage::Protocol, poll_end, Some(protocol_end)),
+                (Stage::Unmarshal, protocol_end, Some(end)),
+            ]
+        );
+    }
+
+    /// A part that runs past the window's end is cut there; the parts
+    /// after it and `rest` are zero-length at the end.
+    #[test]
+    fn split_spans_clamps_to_the_window_end() {
+        let id = 4;
+        let mut c = with_request(ObserveSpec::full(), id, SimTime::from_us(1));
+        let cost = CostModel::linux_server();
+        let start = SimTime::from_us(2);
+        let end = start + cost.cycles(1000);
+        let parts = [
+            (Stage::Syscall, 100),
+            (Stage::Copy, 5000),
+            (Stage::ContextSwitch, 50),
+        ];
+        c.split_spans(id, 1, start..end, &cost, &parts, Stage::Unmarshal);
+
+        let syscall_end = start + cost.cycles(100);
+        assert_eq!(
+            children(c.tracer.spans(), id),
+            [
+                (Stage::Syscall, start, Some(syscall_end)),
+                (Stage::Copy, syscall_end, Some(end)),
+                (Stage::ContextSwitch, end, Some(end)),
+                (Stage::Unmarshal, end, Some(end)),
+            ]
+        );
+    }
+
+    #[test]
+    fn split_spans_records_nothing_while_tracing_is_off() {
+        let id = 6;
+        let mut c = with_request(ObserveSpec::none(), id, SimTime::from_us(1));
+        let cost = CostModel::linux_server();
+        let start = SimTime::from_us(2);
+        let end = start + cost.cycles(1000);
+        c.split_spans(
+            id,
+            0,
+            start..end,
+            &cost,
+            &[(Stage::Poll, 100)],
+            Stage::Unmarshal,
+        );
+        assert!(c.tracer.spans().is_empty());
+    }
+
+    /// The response leaves at `tx_done`, reaches the client one wire
+    /// flight later, and the root span closes on that arrival.
+    #[test]
+    fn respond_stamps_schedules_and_closes_the_root() {
+        let id = 9;
+        let mut c = with_request(ObserveSpec::full(), id, SimTime::from_us(1));
+        let tx_done = SimTime::from_us(5);
+        c.respond(id, tx_done, 110);
+
+        let arrive = tx_done + c.wire.deliver(110);
+        assert_eq!(
+            c.in_flight.get(&id).map(|r| r.times.response_tx),
+            Some(tx_done)
+        );
+        match c.client_q.pop() {
+            Some((at, ClientEv::Response { request_id })) => {
+                assert_eq!((at, request_id), (arrive, id));
+            }
+            other => panic!("expected the client response, got {other:?}"),
+        }
+        let root = c.tracer.spans().first().expect("a root span");
+        assert_eq!(root.stage, Stage::Request);
+        assert_eq!(root.end, Some(arrive));
     }
 }

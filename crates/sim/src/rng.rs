@@ -237,12 +237,6 @@ impl SimRng {
         -mean * (1.0 - u).ln()
     }
 
-    /// Log-normally distributed sample parameterised by the mean and
-    /// sigma of the underlying normal (natural log scale).
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.normal()).exp()
-    }
-
     /// Standard normal sample (Box–Muller).
     pub fn normal(&mut self) -> f64 {
         let u1 = 1.0 - self.gen_f64();

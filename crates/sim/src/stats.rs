@@ -218,11 +218,6 @@ impl Summary {
     pub fn p99_us(&self) -> f64 {
         self.p99 as f64 / 1e6
     }
-
-    /// Mean in (fractional) microseconds, assuming picosecond samples.
-    pub fn mean_us(&self) -> f64 {
-        self.mean / 1e6
-    }
 }
 
 #[cfg(test)]

@@ -57,18 +57,6 @@ impl SizeDist {
             }
         }
     }
-
-    /// Approximate mean of the distribution (analytic where easy,
-    /// band-midpoint estimate for the mixture).
-    pub fn approx_mean(&self) -> f64 {
-        match self {
-            SizeDist::Fixed { bytes } => *bytes as f64,
-            SizeDist::Uniform { lo, hi } => (*lo + *hi) as f64 / 2.0,
-            SizeDist::CloudRpc => {
-                0.55 * 48.0 + 0.25 * 280.0 + 0.12 * 1100.0 + 0.06 * 6500.0 + 0.02 * 30_000.0
-            }
-        }
-    }
 }
 
 #[cfg(test)]
