@@ -1,6 +1,9 @@
 //! Golden Chrome-trace fixtures: a seeded single-client echo run on
 //! each stack must produce byte-for-byte the trace committed under
 //! `tests/golden/` (`lauberhorn_echo`, `bypass_echo`, `kernel_echo`).
+//! `kernel_queue` runs three services and three clients on one kernel
+//! core, so woken receiver threads wait on the run queue and the trace
+//! pins the order the scheduler dispatches them in.
 //!
 //! Each fixture pins three things at once: the event schedule of the
 //! stack's receive path (any timing drift moves a `ts`/`dur` field),
@@ -19,11 +22,13 @@
 use lauberhorn_rpc::sim_bypass::BypassSimConfig;
 use lauberhorn_rpc::sim_kernel::KernelSimConfig;
 use lauberhorn_rpc::sim_lauberhorn::LauberhornSimConfig;
+use lauberhorn_rpc::spec::LoadMode;
 use lauberhorn_rpc::{
     driver, BypassSim, KernelSim, LauberhornSim, ServerStack, ServiceSpec, WorkloadSpec,
 };
 use lauberhorn_sim::span::chrome_trace;
 use lauberhorn_sim::{ObserveSpec, SimDuration};
+use lauberhorn_workload::DynamicMix;
 
 /// One pinned run: its fixture file, the committed bytes, and the run
 /// that must reproduce them.
@@ -33,37 +38,65 @@ struct Golden {
     run: fn() -> String,
 }
 
-const GOLDENS: [Golden; 3] = [
+const GOLDENS: [Golden; 4] = [
     Golden {
         file: "lauberhorn_echo.trace.json",
         pinned: include_str!("golden/lauberhorn_echo.trace.json"),
         run: || {
-            let sim = LauberhornSim::new(LauberhornSimConfig::enzian(2), services());
-            trace(sim, 10)
+            let sim = LauberhornSim::new(LauberhornSimConfig::enzian(2), services(1));
+            trace(sim, echo(10))
         },
     },
     Golden {
         file: "bypass_echo.trace.json",
         pinned: include_str!("golden/bypass_echo.trace.json"),
-        run: || trace(BypassSim::new(BypassSimConfig::modern(2), services()), 50),
+        run: || {
+            trace(
+                BypassSim::new(BypassSimConfig::modern(2), services(1)),
+                echo(50),
+            )
+        },
     },
     Golden {
         file: "kernel_echo.trace.json",
         pinned: include_str!("golden/kernel_echo.trace.json"),
-        run: || trace(KernelSim::new(KernelSimConfig::modern(2), services()), 50),
+        run: || {
+            trace(
+                KernelSim::new(KernelSimConfig::modern(2), services(1)),
+                echo(50),
+            )
+        },
+    },
+    Golden {
+        file: "kernel_queue.trace.json",
+        pinned: include_str!("golden/kernel_queue.trace.json"),
+        run: || {
+            let mut wl = echo(50);
+            wl.mix = DynamicMix::stable(3, 0.0);
+            wl.mode = LoadMode::Closed {
+                clients: 3,
+                think: SimDuration::ZERO,
+            };
+            trace(KernelSim::new(KernelSimConfig::modern(1), services(3)), wl)
+        },
     },
 ];
 
-fn services() -> Vec<ServiceSpec> {
-    ServiceSpec::uniform(1, 1000, 32)
+fn services(n: usize) -> Vec<ServiceSpec> {
+    ServiceSpec::uniform(n, 1000, 32)
 }
 
-/// Runs one closed-loop 64 B echo client for `window_us` on `sim` and
-/// exports every span it recorded.
-fn trace(mut sim: impl ServerStack, window_us: u64) -> String {
+/// One closed-loop 64 B echo client for `window_us`, every span
+/// recorded.
+fn echo(window_us: u64) -> WorkloadSpec {
     let mut wl = WorkloadSpec::echo_closed(64, 1, 7).with_observe(ObserveSpec::full());
     wl.duration = SimDuration::from_us(window_us);
     wl.warmup = 0;
+    wl
+}
+
+/// Runs `wl` on `sim` and exports every span it recorded.
+fn trace(mut sim: impl ServerStack, wl: WorkloadSpec) -> String {
     let r = driver::run(&mut sim, &wl);
     assert!(
         r.completed > 0,
