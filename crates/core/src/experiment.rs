@@ -1,9 +1,11 @@
 //! The high-level experiment API: pick a stack, run a workload.
 
 use lauberhorn_rpc::sim_bypass::{BypassSim, BypassSimConfig};
-use lauberhorn_rpc::sim_kernel::{KernelSim, KernelSimConfig};
+use lauberhorn_rpc::sim_kernel::KernelSim;
 use lauberhorn_rpc::sim_lauberhorn::{LauberhornSim, LauberhornSimConfig};
-use lauberhorn_rpc::{driver, Machine, Report, ServerStack, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{
+    driver, Machine, MachineConfig, Report, ServerStack, ServiceSpec, WorkloadSpec,
+};
 
 /// A server stack on a concrete machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,11 +132,11 @@ impl Experiment {
                 Box::new(BypassSim::new(cfg, self.services.clone()))
             }
             StackKind::KernelEnzian => Box::new(KernelSim::new(
-                KernelSimConfig::enzian(self.cores),
+                MachineConfig::new(Machine::EnzianPcie, self.cores),
                 self.services.clone(),
             )),
             StackKind::KernelModern => Box::new(KernelSim::new(
-                KernelSimConfig::modern(self.cores),
+                MachineConfig::new(Machine::PcPcie, self.cores),
                 self.services.clone(),
             )),
         }

@@ -14,9 +14,9 @@
 //! The dispatch-latency distribution (NIC arrival → handler start) is
 //! the figure's quantitative content.
 
-use lauberhorn_rpc::sim_kernel::{KernelSim, KernelSimConfig};
+use lauberhorn_rpc::sim_kernel::KernelSim;
 use lauberhorn_rpc::sim_lauberhorn::{LauberhornSim, LauberhornSimConfig};
-use lauberhorn_rpc::{Report, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{Machine, MachineConfig, Report, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::SimDuration;
 use lauberhorn_workload::{ArrivalProcess, DynamicMix, SizeDist};
 
@@ -87,8 +87,8 @@ pub fn run(seed: u64) -> Vec<Scenario> {
     let cold_stats = cold_sim.nic().stats();
 
     // Kernel stack at the resident rate.
-    let kernel =
-        KernelSim::new(KernelSimConfig::modern(2), services).run(&workload(50_000.0, 10, 50, seed));
+    let kernel = KernelSim::new(MachineConfig::new(Machine::PcPcie, 2), services)
+        .run(&workload(50_000.0, 10, 50, seed));
 
     vec![
         Scenario {

@@ -23,13 +23,13 @@
 //! * [`nic`] — the Lauberhorn NIC: demux, deserialization offload,
 //!   CONTROL/AUX endpoints, TRYAGAIN/RETIRE, scheduler mirror, load
 //!   stats, DMA fallback, continuations (Figures 3 and 4).
-//! * [`os`] — processes, the CFS-like scheduler, kernel path costs.
-//! * [`baseline`] — the kernel-bypass control plane (flow director,
-//!   bindings).
+//! * [`os`] — processes, the kernel scheduler's run queues, kernel
+//!   path costs.
 //! * [`workload`] — arrival processes, RPC size mixtures, dynamic
 //!   service popularity.
 //! * [`rpc`] — three whole-machine simulations sharing identical
-//!   byte streams.
+//!   byte streams, and the kernel-bypass control plane (flow director,
+//!   bindings).
 //! * [`mc`] — an explicit-state model checker and the Figure 4
 //!   protocol model (the paper's TLA+ claim).
 //!
@@ -53,7 +53,6 @@
 //! prints the table. See `EXPERIMENTS.md` at the workspace root for
 //! the recorded outputs.
 
-pub use lauberhorn_baseline as baseline;
 pub use lauberhorn_coherence as coherence;
 pub use lauberhorn_mc as mc;
 pub use lauberhorn_nic as nic;

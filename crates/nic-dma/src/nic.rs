@@ -26,8 +26,6 @@ pub struct DmaNicConfig {
     pub ring_size: usize,
     /// The PCIe link the NIC sits behind.
     pub link: PcieLink,
-    /// Whether DMA is translated by an IOMMU (the usual server setup).
-    pub use_iommu: bool,
     /// Interrupt holdoff; `SimDuration::ZERO` disables moderation.
     pub interrupt_holdoff: SimDuration,
     /// Latency of the on-NIC pipeline (MAC, parser, RSS, scheduler)
@@ -42,7 +40,6 @@ impl DmaNicConfig {
             num_queues,
             ring_size: 1024,
             link: PcieLink::modern_server(),
-            use_iommu: true,
             interrupt_holdoff: SimDuration::from_us(20),
             pipeline_latency: SimDuration::from_ns(500),
         }
@@ -55,7 +52,6 @@ impl DmaNicConfig {
             num_queues,
             ring_size: 256,
             link: PcieLink::enzian_fpga(),
-            use_iommu: true,
             interrupt_holdoff: SimDuration::from_us(20),
             pipeline_latency: SimDuration::from_ns(800),
         }
@@ -238,16 +234,14 @@ impl DmaNic {
         };
         // Translate the buffer (every page of it the frame touches).
         let mut when = now + self.cfg.pipeline_latency;
-        if self.cfg.use_iommu {
-            match self
-                .iommu
-                .translate_range(desc.buf_iova, raw.len() as u64, true, |_, _| {})
-            {
-                Ok(lat) => when += lat,
-                Err(e) => {
-                    self.stats.rx_iommu_fault += 1;
-                    return Err(RxDrop::IommuFault(e));
-                }
+        match self
+            .iommu
+            .translate_range(desc.buf_iova, raw.len() as u64, true, |_, _| {})
+        {
+            Ok(lat) => when += lat,
+            Err(e) => {
+                self.stats.rx_iommu_fault += 1;
+                return Err(RxDrop::IommuFault(e));
             }
         }
         // DMA the frame, then the completion record (32 B writeback).
@@ -279,14 +273,12 @@ impl DmaNic {
     /// fetch (DMA read of `len` bytes), pipeline.
     pub fn tx_packet(&mut self, now: SimTime, desc: TxDescriptor) -> Result<SimTime, RxDrop> {
         let mut when = now + self.cfg.link.mmio_write_delivery;
-        if self.cfg.use_iommu {
-            match self
-                .iommu
-                .translate_range(desc.buf_iova, desc.len as u64, false, |_, _| {})
-            {
-                Ok(lat) => when += lat,
-                Err(e) => return Err(RxDrop::IommuFault(e)),
-            }
+        match self
+            .iommu
+            .translate_range(desc.buf_iova, desc.len as u64, false, |_, _| {})
+        {
+            Ok(lat) => when += lat,
+            Err(e) => return Err(RxDrop::IommuFault(e)),
         }
         when += self.cfg.link.dma_read_time(16); // Descriptor fetch.
         when += self.cfg.link.dma_read_time(desc.len as usize); // Payload.

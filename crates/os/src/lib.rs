@@ -11,9 +11,10 @@
 //! * [`cost`] — the calibrated cycle-cost model of every kernel path
 //!   segment the experiments charge (IRQ entry, softirq, socket
 //!   demultiplex, wakeup, context switch, IPI, syscall, copies).
-//! * [`sched`] — a CFS-like scheduler over per-core run queues with
-//!   wakeup placement, preemption via IPI, and the blocked/runnable
-//!   bookkeeping the NIC mirrors in the Lauberhorn design (§5.2).
+//! * [`sched`] — per-core run queues with wakeup placement (first
+//!   idle core, else the shortest queue; lowest thread id first) and
+//!   the blocked/runnable bookkeeping the NIC mirrors in the
+//!   Lauberhorn design (§5.2).
 //! * [`netstack`] — the kernel UDP receive path as a sequence of
 //!   costed steps (the software half of Figure 1, and the left side of
 //!   Figure 5).

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use lauberhorn_sim::{SimDuration, SimTime};
+use lauberhorn_sim::{OverloadConfig, SimDuration, SimTime};
 
 use crate::cost::CostModel;
 
@@ -217,16 +217,24 @@ impl<T> SocketBacklog<T> {
         }
     }
 
-    /// An effectively unbounded backlog (the pre-overload-control
-    /// kernel behavior, kept for unprotected comparison runs).
-    pub fn unbounded() -> Self {
-        Self::bounded(usize::MAX)
-    }
-
     /// Adds deadline-aware shedding with the given latency budget.
     pub fn with_deadline(mut self, budget: SimDuration) -> Self {
         self.deadline = Some(budget);
         self
+    }
+
+    /// The backlog `overload` arms: drop-tail at its `queue_cap`, with
+    /// its deadline budget. Without overload control the backlog is
+    /// effectively unbounded, as in the pre-overload-control kernel.
+    pub fn for_overload(overload: Option<&OverloadConfig>) -> Self {
+        let Some(ov) = overload else {
+            return Self::bounded(usize::MAX);
+        };
+        let backlog = Self::bounded(ov.queue_cap);
+        match ov.deadline {
+            Some(budget) => backlog.with_deadline(budget),
+            None => backlog,
+        }
     }
 
     /// Entries currently queued.
@@ -267,6 +275,11 @@ impl<T> SocketBacklog<T> {
             return self.q.pop_front().map(|(_, item)| item);
         }
         None
+    }
+
+    /// The head entry and its enqueue time, left in place.
+    pub fn front(&self) -> Option<(SimTime, &T)> {
+        self.q.front().map(|(at, item)| (*at, item))
     }
 
     /// Pops the head entry, returning it with its enqueue time.
@@ -361,6 +374,7 @@ mod tests {
         let t0 = SimTime::from_us(1);
         b.push(t0, 1).ok();
         b.push(t0 + SimDuration::from_us(20), 2).ok();
+        assert_eq!(b.front(), Some((t0, &1)));
         let late = t0 + SimDuration::from_us(25);
         // Entry 1 has waited 24us > 10us: shed. Entry 2 is fresh.
         assert_eq!(b.pop_stale(late), Some(1));

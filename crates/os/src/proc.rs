@@ -20,41 +20,4 @@ pub enum ThreadState {
     Runnable,
     /// Waiting for an event (I/O, RPC arrival); not on any queue.
     Blocked,
-    /// Created but not yet started, or exited.
-    Inactive,
-}
-
-impl ThreadState {
-    /// The core the thread runs on, if any.
-    pub fn core(&self) -> Option<usize> {
-        match self {
-            ThreadState::Running { core } => Some(*core),
-            _ => None,
-        }
-    }
-}
-
-/// Thread metadata tracked by the scheduler.
-#[derive(Debug, Clone)]
-pub struct ThreadInfo {
-    /// Owning process.
-    pub process: ProcessId,
-    /// Current run state.
-    pub state: ThreadState,
-    /// CFS-style virtual runtime in picoseconds.
-    pub vruntime: u64,
-    /// Optional hard core affinity.
-    pub affinity: Option<usize>,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn state_core_accessor() {
-        assert_eq!(ThreadState::Running { core: 3 }.core(), Some(3));
-        assert_eq!(ThreadState::Runnable.core(), None);
-        assert_eq!(ThreadState::Blocked.core(), None);
-    }
 }

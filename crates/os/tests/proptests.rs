@@ -4,29 +4,20 @@
 //! Deterministic in-tree replacement for an external property-testing
 //! framework: cases are generated from seeded `SimRng` streams.
 
-use lauberhorn_os::proc::{ProcessId, ThreadId, ThreadState};
+use lauberhorn_os::proc::{ThreadId, ThreadState};
 use lauberhorn_os::OsScheduler;
-use lauberhorn_sim::{SimDuration, SimRng};
+use lauberhorn_sim::SimRng;
 
 #[derive(Debug, Clone)]
 enum Op {
     Wakeup(u32),
     Block(usize),
-    Preempt(usize),
-    Account(usize, u64),
-    Dispatch(usize),
 }
 
 fn arb_op(rng: &mut SimRng, threads: u32, cores: usize) -> Op {
-    match rng.gen_range(0..=4) {
+    match rng.gen_range(0..=1) {
         0 => Op::Wakeup(rng.gen_range(0..=threads as usize - 1) as u32),
-        1 => Op::Block(rng.gen_range(0..=cores - 1)),
-        2 => Op::Preempt(rng.gen_range(0..=cores - 1)),
-        3 => Op::Account(
-            rng.gen_range(0..=cores - 1),
-            rng.gen_range(1..=9_999) as u64,
-        ),
-        _ => Op::Dispatch(rng.gen_range(0..=cores - 1)),
+        _ => Op::Block(rng.gen_range(0..=cores - 1)),
     }
 }
 
@@ -51,7 +42,7 @@ fn check(s: &OsScheduler, threads: u32, cores: usize) {
                 assert_eq!(s.current(core), Some(ThreadId(t)));
             }
             Some(ThreadState::Runnable) => runnable += 1,
-            Some(ThreadState::Blocked) | Some(ThreadState::Inactive) => {}
+            Some(ThreadState::Blocked) => {}
             None => panic!("thread {t} unregistered"),
         }
     }
@@ -68,7 +59,7 @@ fn scheduler_invariants_hold() {
         let n_ops = rng.gen_range(1..=200);
         let mut s = OsScheduler::new(cores);
         for t in 0..threads {
-            s.register(ThreadId(t), ProcessId(t), None);
+            s.register(ThreadId(t));
         }
         for _ in 0..n_ops {
             match arb_op(&mut rng, threads, cores) {
@@ -77,15 +68,6 @@ fn scheduler_invariants_hold() {
                 }
                 Op::Block(c) => {
                     s.block_current(c).unwrap();
-                }
-                Op::Preempt(c) => {
-                    s.preempt(c).unwrap();
-                }
-                Op::Account(c, n) => {
-                    s.account(c, SimDuration::from_ns(n)).unwrap();
-                }
-                Op::Dispatch(c) => {
-                    s.dispatch(c);
                 }
             }
             check(&s, threads, cores);
@@ -102,7 +84,7 @@ fn work_conserving_under_wakeups() {
         let n_wakes = rng.gen_range(1..=50);
         let mut s = OsScheduler::new(4);
         for t in 0..8 {
-            s.register(ThreadId(t), ProcessId(t), None);
+            s.register(ThreadId(t));
         }
         for _ in 0..n_wakes {
             let w = rng.gen_range(0..=7) as u32;

@@ -16,7 +16,7 @@ use lauberhorn_packet::eth::ETH_HEADER_LEN;
 use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::{BufPool, PktBuf, RpcHeader, RpcKind};
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
-use lauberhorn_sim::{AimdPacer, Histogram, SimDuration, SimRng, SimTime};
+use lauberhorn_sim::{AimdPacer, Fnv1a, Histogram, SimDuration, SimRng, SimTime};
 
 use crate::report::Report;
 use crate::spec::{LoadMode, PayloadGen, WorkloadSpec};
@@ -42,33 +42,6 @@ pub(crate) enum ClientEv {
     /// A pushback NACK reached the client: the server shed the request
     /// under overload and advertised its load as `hint` (0–255).
     Pushback { request_id: u64, hint: u8 },
-}
-
-/// Running FNV-1a digest over the generated request stream; equal
-/// digests across stacks prove they were offered identical bytes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RequestDigest(pub u64);
-
-impl RequestDigest {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        RequestDigest(Self::OFFSET)
-    }
-
-    fn absorb(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn absorb_request(&mut self, request_id: u64, service: u16, payload: &[u8]) {
-        self.absorb(&request_id.to_le_bytes());
-        self.absorb(&service.to_le_bytes());
-        self.absorb(payload);
-    }
 }
 
 /// Puts one request frame on the wire, applying transmit-leg faults.
@@ -167,7 +140,9 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     // the stack: every stack sees the same services, sizes and gaps.
     let mut client_rng = SimRng::stream(workload.seed, "client");
     let client_addr = EndpointAddr::host(2, 7000);
-    let mut digest = RequestDigest::new();
+    // Running FNV-1a digest over the generated request stream; equal
+    // digests across stacks prove they were offered identical bytes.
+    let mut digest = Fnv1a::new();
     let mut next_request_id = 0u64;
     let mut frames = BufPool::new(FRAME_POOL_CAP);
 
@@ -284,7 +259,6 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
                         let len = bytes.len();
                         (Some(bytes), len)
                     }
-                    Some(PayloadGen::Random(d)) => (None, d.sample(&mut client_rng)),
                     None => (None, workload.request_bytes.sample(&mut client_rng)),
                 };
                 // The payload is generated straight into a recycled
@@ -306,11 +280,9 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
                             Some(bytes) => out.extend_from_slice(bytes),
                             None => out.extend((0..len).map(|i| (i as u8) ^ (request_id as u8))),
                         }
-                        digest.absorb_request(
-                            request_id,
-                            service,
-                            out.get(start..).unwrap_or_default(),
-                        );
+                        digest.write_u64(request_id);
+                        digest.write(&service.to_le_bytes());
+                        digest.write(out.get(start..).unwrap_or_default());
                     });
                 if built.is_err() {
                     // Send the empty frame the server's parse rejects.
@@ -489,7 +461,7 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     // Close spans left open at the cutoff (parked cores, in-flight
     // requests) so the balance invariant holds for exported traces.
     common.tracer.finish(end);
-    common.metrics.request_digest = digest.0;
+    common.metrics.request_digest = digest.finish();
     if let Some(p) = pacer.as_ref() {
         // Only reached when overload pushback was armed, so these
         // entries never enter a clean run's digest.

@@ -9,7 +9,8 @@
 //!   instead of polling.
 //! * [`sim_bypass`] — the kernel-bypass baseline: a DMA NIC with
 //!   flow-director steering, dedicated spinning cores, static
-//!   service↔core bindings with costly rebinds.
+//!   service↔core bindings with costly rebinds (its control plane is
+//!   the crate-private `bypass_ctl`).
 //! * [`sim_kernel`] — the traditional kernel stack: the same DMA NIC
 //!   with RSS, interrupts, softirq processing, socket wakeups, and
 //!   context switches.
@@ -26,6 +27,7 @@
 //! same [`report`] metrics, so every experiment is an apples-to-apples
 //! comparison.
 
+mod bypass_ctl;
 mod dma_host;
 pub mod driver;
 pub mod report;

@@ -1,7 +1,7 @@
 //! Experiment results, comparable across all three stacks.
 
 use lauberhorn_sim::energy::CycleAccount;
-use lauberhorn_sim::{BlameProfile, Histogram, MetricsRegistry, SimDuration, Summary};
+use lauberhorn_sim::{BlameProfile, Fnv1a, Histogram, MetricsRegistry, SimDuration, Summary};
 
 /// Fault-path counters, present in every report (all-zero on a
 /// fault-free run).
@@ -172,13 +172,10 @@ impl Report {
     /// indistinguishable reports — the zero-perturbation tests compare
     /// exactly this.
     pub fn digest(&self) -> u64 {
-        struct Fnv(u64);
+        struct Fnv(Fnv1a);
         impl Fnv {
             fn put(&mut self, x: u64) {
-                for b in x.to_le_bytes() {
-                    self.0 ^= b as u64;
-                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                self.0.write_u64(x);
             }
             fn put_f(&mut self, x: f64) {
                 self.put(x.to_bits());
@@ -196,7 +193,7 @@ impl Report {
                 }
             }
         }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv(Fnv1a::new());
         h.put_str(&self.stack);
         h.put(self.offered);
         h.put(self.completed);
@@ -236,11 +233,11 @@ impl Report {
         ] {
             h.put(v);
         }
-        // `sim.span.*` is meta-telemetry: it describes the measurement
-        // apparatus (trace loss, flight-recorder retention), not the
-        // simulated system, and exists only while tracing. Hashing it
-        // would make the digest observe-sensitive by construction, so
-        // the zero-perturbation carve-out skips the prefix.
+        // `sim.span.*` is meta-telemetry: it counts the spans the tracer
+        // recorded, dropped and truncated, not the simulated system, and
+        // exists only while tracing. Hashing it would make the digest
+        // observe-sensitive by construction, so the zero-perturbation
+        // carve-out skips the prefix.
         for (name, v) in self.metrics.counters() {
             if name.starts_with("sim.span.") {
                 continue;
@@ -262,7 +259,7 @@ impl Report {
             h.put_str(name);
             h.put_sum(s);
         }
-        h.0
+        h.0.finish()
     }
 }
 

@@ -9,17 +9,15 @@
 //! binding costs a control-plane operation and a drain window) both
 //! fall out of the structure.
 
-use std::collections::VecDeque;
-
-use lauberhorn_baseline::{BindingManager, FlowDirector, RebindCost};
 use lauberhorn_nic_dma::DmaNic;
-use lauberhorn_os::CostModel;
+use lauberhorn_os::{CostModel, SocketBacklog};
 use lauberhorn_packet::frame::{EndpointAddr, FRAME_OVERHEAD};
 use lauberhorn_packet::rpcwire::RPC_HEADER_LEN;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::{EventQueue, OverloadConfig, SimDuration, SimTime, Stage};
 
+use crate::bypass_ctl::{BindingManager, FlowDirector};
 use crate::dma_host::DmaHost;
 use crate::report::Report;
 use crate::spec::{spec_of, ServiceSpec, WorkloadSpec};
@@ -61,9 +59,9 @@ impl BypassSimConfig {
     }
 }
 
+/// A packet in a core's backlog, queued at its DMA completion.
 #[derive(Debug)]
 struct PendingPkt {
-    ready_at: SimTime,
     request_id: u64,
     service: u16,
     payload_len: usize,
@@ -95,14 +93,12 @@ pub struct BypassSim {
     fdir: FlowDirector,
     bindings: BindingManager,
     energy: EnergyMeter,
-    pending: Vec<VecDeque<PendingPkt>>,
-    // Overload control, the bypass analogue: the poll loop bounds its
-    // software backlog per core and sheds stale work at poll time.
-    // Fairness and pushback stay Lauberhorn-only -- a dataplane core
-    // has no per-service view and no NACK channel back to clients.
+    /// Each core's software backlog. Under overload control the poll
+    /// loop bounds it and sheds stale work at poll time. Fairness and
+    /// pushback stay Lauberhorn-only -- a dataplane core has no
+    /// per-service view and no NACK channel back to clients.
+    pending: Vec<SocketBacklog<PendingPkt>>,
     overload: Option<OverloadConfig>,
-    shed_capacity: u64,
-    shed_deadline: u64,
     busy_until: Vec<SimTime>,
     check_scheduled: Vec<bool>,
     q: EventQueue<Ev>,
@@ -118,7 +114,7 @@ impl BypassSim {
             host.nic.mask_queue(q); // Polled mode: interrupts never fire.
         }
         let mut fdir = FlowDirector::new(4096);
-        let mut bindings = BindingManager::new(cfg.cores, RebindCost::default());
+        let mut bindings = BindingManager::default();
         for (i, s) in services.iter().enumerate() {
             let core = i % cfg.cores;
             bindings.bind(s.service_id, core, SimTime::ZERO);
@@ -133,10 +129,10 @@ impl BypassSim {
             fdir,
             bindings,
             energy: EnergyMeter::new(cfg.cores),
-            pending: (0..cfg.cores).map(|_| VecDeque::new()).collect(),
+            pending: (0..cfg.cores)
+                .map(|_| SocketBacklog::for_overload(None))
+                .collect(),
             overload: None,
-            shed_capacity: 0,
-            shed_deadline: 0,
             busy_until: vec![SimTime::ZERO; cfg.cores],
             check_scheduled: vec![false; cfg.cores],
             q: EventQueue::new(),
@@ -192,24 +188,20 @@ impl BypassSim {
             return;
         };
         let core = queue as usize;
-        // Bounded software backlog: when overload control is armed the
-        // poll loop drops the newest packet rather than growing without
-        // limit (drop-tail, like the kernel's SYN-style backlog).
-        if let Some(ov) = &self.overload {
-            let depth = self.pending.get(core).map_or(0, |q| q.len());
-            if depth >= ov.queue_cap {
-                self.shed_capacity += 1;
-                self.common.drop_request(request_id, now);
-                return;
-            }
-        }
-        if let Some(q) = self.pending.get_mut(core) {
-            q.push_back(PendingPkt {
-                ready_at: delivery.ready_at,
-                request_id,
-                service,
-                payload_len,
-            });
+        let pkt = PendingPkt {
+            request_id,
+            service,
+            payload_len,
+        };
+        // A full backlog drops the newest packet (drop-tail, like the
+        // kernel's SYN-style backlog).
+        let queued = self
+            .pending
+            .get_mut(core)
+            .is_some_and(|q| q.push(delivery.ready_at, pkt).is_ok());
+        if !queued {
+            self.common.drop_request(request_id, now);
+            return;
         }
         self.schedule_check(core, delivery.ready_at);
     }
@@ -221,25 +213,13 @@ impl BypassSim {
         // Deadline shedding at poll time: work that has waited past its
         // budget is stale by the time a response could reach the client,
         // so the poll loop discards it instead of burning the core.
-        if let Some(deadline) = self.overload.as_ref().and_then(|ov| ov.deadline) {
-            let mut stale = Vec::new();
-            if let Some(q) = self.pending.get_mut(core) {
-                while q.front().is_some_and(|p| now.since(p.ready_at) > deadline) {
-                    if let Some(p) = q.pop_front() {
-                        stale.push(p.request_id);
-                    }
-                }
-            }
-            for id in stale {
-                self.shed_deadline += 1;
-                self.common.drop_request(id, now);
-            }
+        while let Some(p) = self.pending.get_mut(core).and_then(|q| q.pop_stale(now)) {
+            self.common.drop_request(p.request_id, now);
         }
-        let Some(front) = self.pending.get(core).and_then(|q| q.front()) else {
+        let Some((ready_at, front)) = self.pending.get(core).and_then(|q| q.front()) else {
             return;
         };
         let service = front.service;
-        let ready_at = front.ready_at;
         // The service may be mid-rebind (drain window).
         let bind_ok = self.bindings.available(service, now);
         let busy = self.busy_until.get(core).copied().unwrap_or(now);
@@ -253,15 +233,15 @@ impl BypassSim {
             self.schedule_check(core, retry);
             return;
         }
-        let Some(pkt) = self.pending.get_mut(core).and_then(|q| q.pop_front()) else {
+        let Some((_, pkt)) = self.pending.get_mut(core).and_then(|q| q.pop()) else {
             return;
         };
         let lane = core as u32;
-        if now > pkt.ready_at {
+        if now > ready_at {
             // RX-ring residence: DMA-complete at `ready_at`, poll
             // pick-up now. Queueing on the critical path.
             self.common
-                .stage_span(Stage::Queue, pkt.request_id, lane, pkt.ready_at, now);
+                .stage_span(Stage::Queue, pkt.request_id, lane, ready_at, now);
         }
         // The bypass receive path: one poll iteration found the packet,
         // minimal user-space protocol handling, dispatch, software
@@ -389,6 +369,9 @@ impl ServerStack for BypassSim {
 
     fn prepare(&mut self, workload: &WorkloadSpec) {
         self.overload = workload.overload.clone();
+        for q in &mut self.pending {
+            *q = SocketBacklog::for_overload(self.overload.as_ref());
+        }
         // Dedicated cores spin from t = 0 to the end: always Active.
         for c in 0..self.cfg.cores {
             self.energy.set_state(c, CoreState::Active, SimTime::ZERO);
@@ -440,12 +423,13 @@ impl ServerStack for BypassSim {
         // Exported only when overload control is armed so clean runs
         // keep a byte-identical metrics digest.
         if self.overload.is_some() {
-            reg.counter("bypass.overload.shed_capacity", self.shed_capacity);
-            reg.counter("bypass.overload.shed_deadline", self.shed_deadline);
-            reg.counter(
-                "bypass.overload.shed",
-                self.shed_capacity + self.shed_deadline,
-            );
+            let (rej, exp) = self
+                .pending
+                .iter()
+                .fold((0u64, 0u64), |(r, e), b| (r + b.rejected, e + b.expired));
+            reg.counter("bypass.overload.shed_capacity", rej);
+            reg.counter("bypass.overload.shed_deadline", exp);
+            reg.counter("bypass.overload.shed", rej + exp);
         }
         (total, fabric)
     }

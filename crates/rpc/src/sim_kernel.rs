@@ -25,7 +25,7 @@ use lauberhorn_packet::frame::{EndpointAddr, FRAME_OVERHEAD};
 use lauberhorn_packet::rpcwire::RPC_HEADER_LEN;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
-use lauberhorn_sim::{EventQueue, SimDuration, SimTime, SpanId, Stage};
+use lauberhorn_sim::{EventQueue, OverloadConfig, SimTime, SpanId, Stage};
 
 use crate::dma_host::DmaHost;
 use crate::report::Report;
@@ -34,37 +34,6 @@ use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, BASE_PORT, 
 
 /// NAPI poll budget (packets per softirq pass).
 const NAPI_BUDGET: usize = 16;
-
-/// Configuration.
-#[derive(Debug, Clone)]
-pub struct KernelSimConfig {
-    /// Machine model ([`Machine::PcPcie`] or [`Machine::EnzianPcie`]).
-    pub machine: Machine,
-    /// Cores available to the OS.
-    pub cores: usize,
-    /// Whether the NIC allocates incoming payloads into the LLC
-    /// (DDIO-style). Off, every payload copy misses to DRAM.
-    pub ddio: bool,
-}
-
-impl KernelSimConfig {
-    /// Kernel stack on a modern server.
-    pub fn modern(cores: usize) -> Self {
-        KernelSimConfig {
-            machine: Machine::PcPcie,
-            cores,
-            ddio: true,
-        }
-    }
-
-    /// Kernel stack on Enzian.
-    pub fn enzian(cores: usize) -> Self {
-        KernelSimConfig {
-            machine: Machine::EnzianPcie,
-            ..Self::modern(cores)
-        }
-    }
-}
 
 #[derive(Debug)]
 struct PendingPkt {
@@ -103,7 +72,7 @@ enum Ev {
 
 /// The kernel-stack server simulation.
 pub struct KernelSim {
-    cfg: KernelSimConfig,
+    machine: Machine,
     cost: CostModel,
     services: Vec<ServiceSpec>,
     host: DmaHost,
@@ -111,12 +80,12 @@ pub struct KernelSim {
     energy: EnergyMeter,
     pending: Vec<VecDeque<PendingPkt>>,
     socket_q: BTreeMap<u16, SocketBacklog<(u64, usize, u64)>>,
-    /// Per-socket backlog limits when overload control is armed
-    /// (`cap`, deadline budget); `(None, None)` = the traditional
-    /// unbounded receive queue.
-    sock_limits: (Option<usize>, Option<SimDuration>),
-    /// LLC model for DDIO: did the payload land in cache before the
-    /// copy touches it?
+    /// Overload control, when the workload arms it: it bounds each
+    /// socket backlog.
+    overload: Option<OverloadConfig>,
+    /// LLC model for DDIO (the NIC allocates incoming payloads into
+    /// the LLC): did the payload land in cache before the copy touches
+    /// it?
     llc: SetAssocCache,
     poll_active: Vec<bool>,
     busy_until: Vec<SimTime>,
@@ -127,34 +96,34 @@ pub struct KernelSim {
 impl KernelSim {
     /// Builds the machine; one receiver thread per service, all blocked
     /// in `recvmsg`.
-    pub fn new(cfg: KernelSimConfig, services: Vec<ServiceSpec>) -> Self {
-        let queues = cfg.cores.min(16) as u32;
+    pub fn new(machine: MachineConfig, services: Vec<ServiceSpec>) -> Self {
+        let MachineConfig { machine, cores } = machine;
+        let queues = cores.min(16) as u32;
         // NAPI masking governs interrupt moderation.
-        let mut host = DmaHost::new(cfg.machine, queues);
+        let mut host = DmaHost::new(machine, queues);
         for q in 0..queues {
-            host.nic.steer_queue(q, q as usize % cfg.cores);
+            host.nic.steer_queue(q, q as usize % cores);
         }
-        let mut sched = OsScheduler::new(cfg.cores);
+        let mut sched = OsScheduler::new(cores);
         for s in &services {
-            sched.register(ThreadId(s.service_id as u32), s.process, None);
+            sched.register(ThreadId(s.service_id as u32));
         }
-        let cost = cfg.machine.cost_model();
         KernelSim {
-            cost,
+            machine,
+            cost: machine.cost_model(),
             host,
             sched,
-            energy: EnergyMeter::new(cfg.cores),
+            energy: EnergyMeter::new(cores),
             pending: (0..queues as usize).map(|_| VecDeque::new()).collect(),
             socket_q: BTreeMap::new(),
-            sock_limits: (None, None),
+            overload: None,
             // A 1 MiB slice of LLC capacity for network buffers.
             llc: SetAssocCache::new(1 << 20, 16, 64),
             poll_active: vec![false; queues as usize],
-            busy_until: vec![SimTime::ZERO; cfg.cores],
+            busy_until: vec![SimTime::ZERO; cores],
             q: EventQueue::new(),
             common: StackCommon::default(),
             services,
-            cfg,
         }
     }
 
@@ -198,12 +167,10 @@ impl KernelSim {
         };
         let queue = delivery.queue;
         // DDIO: the DMA write allocates the payload into the LLC.
-        if self.cfg.ddio {
-            let lines = (raw.len()).div_ceil(64) as u64;
-            for i in 0..lines {
-                self.llc
-                    .install(LineAddr::containing(delivery.desc.buf_iova + i * 64, 64));
-            }
+        let lines = (raw.len()).div_ceil(64) as u64;
+        for i in 0..lines {
+            self.llc
+                .install(LineAddr::containing(delivery.desc.buf_iova + i * 64, 64));
         }
         if let Some(q) = self.pending.get_mut(queue as usize) {
             q.push_back(PendingPkt {
@@ -264,17 +231,10 @@ impl KernelSim {
                 .stage_span(Stage::Protocol, pkt.request_id, core as u32, ps, end);
             // Enqueue on the destination socket (bounded SYN-style when
             // overload control is armed) and wake its thread.
-            let (cap, deadline) = self.sock_limits;
-            let backlog = self.socket_q.entry(pkt.service).or_insert_with(|| {
-                let b = match cap {
-                    Some(c) => SocketBacklog::bounded(c),
-                    None => SocketBacklog::unbounded(),
-                };
-                match deadline {
-                    Some(d) => b.with_deadline(d),
-                    None => b,
-                }
-            });
+            let backlog = self
+                .socket_q
+                .entry(pkt.service)
+                .or_insert_with(|| SocketBacklog::for_overload(self.overload.as_ref()));
             if backlog
                 .push(t, (pkt.request_id, pkt.payload_len, pkt.buf_iova))
                 .is_err()
@@ -523,15 +483,11 @@ impl ServerStack for KernelSim {
             !machine.machine.is_coherent(),
             "the kernel stack needs a DMA NIC, not a coherent fabric"
         );
-        let cfg = KernelSimConfig {
-            machine: machine.machine,
-            ..KernelSimConfig::modern(machine.cores)
-        };
-        KernelSim::new(cfg, services)
+        KernelSim::new(machine, services)
     }
 
     fn name(&self) -> &'static str {
-        match self.cfg.machine {
+        match self.machine {
             Machine::EnzianPcie => "kernel/enzian-pcie-dma",
             _ => "kernel/pc-pcie-dma",
         }
@@ -550,9 +506,7 @@ impl ServerStack for KernelSim {
         // per-socket backlogs (SYN-backlog style) plus a deadline
         // budget. Fairness and pushback stay Lauberhorn-only — a DMA
         // NIC has no per-service view and no NACK channel.
-        if let Some(overload) = &workload.overload {
-            self.sock_limits = (Some(overload.queue_cap), overload.deadline);
-        }
+        self.overload = workload.overload.clone();
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
@@ -592,7 +546,7 @@ impl ServerStack for KernelSim {
         self.sched.stats().export(reg);
         // Overload counters only exist when overload control is armed,
         // preserving the zero-perturbation digest of clean runs.
-        if self.sock_limits != (None, None) {
+        if self.overload.is_some() {
             let (rej, exp) = self
                 .socket_q
                 .values()

@@ -128,8 +128,6 @@ pub enum LoadMode {
 /// How request payloads are produced.
 #[derive(Clone)]
 pub enum PayloadGen {
-    /// Random bytes of a sampled size.
-    Random(SizeDist),
     /// Application-defined: a function of the request id (used with
     /// [`Behavior::Handler`] services so responses can be verified).
     Script(Arc<dyn Fn(u64) -> Vec<u8> + Send + Sync>),
@@ -138,7 +136,6 @@ pub enum PayloadGen {
 impl std::fmt::Debug for PayloadGen {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PayloadGen::Random(d) => write!(f, "Random({d:?})"),
             PayloadGen::Script(_) => write!(f, "Script(..)"),
         }
     }
@@ -172,10 +169,10 @@ pub struct WorkloadSpec {
     /// lost requests are detected (and counted dropped) but not
     /// retried; see [`crate::wire::RetryPolicy::give_up_after`].
     pub retry: Option<RetryPolicy>,
-    /// Observability: span tracing and the flight recorder. Defaults
-    /// to [`ObserveSpec::none`]; enabling it must not change any
-    /// report digest (the zero-perturbation guarantee, enforced by the
-    /// tier-1 `observability` test).
+    /// Observability: span tracing. Defaults to [`ObserveSpec::none`];
+    /// enabling it must not change any report digest (the
+    /// zero-perturbation guarantee, enforced by the tier-1
+    /// `observability` test).
     pub observe: ObserveSpec,
     /// Overload control: bounded queues with drop-tail / deadline /
     /// fair-admission shedding on the server side and optional
@@ -249,7 +246,7 @@ impl WorkloadSpec {
         self
     }
 
-    /// Enables observability (spans and/or the flight recorder).
+    /// Enables observability (span tracing).
     pub fn with_observe(mut self, observe: ObserveSpec) -> Self {
         self.observe = observe;
         self

@@ -3,9 +3,9 @@
 //! wakeups, rebinding windows) must actually engage.
 
 use lauberhorn_rpc::sim_bypass::{BypassSim, BypassSimConfig};
-use lauberhorn_rpc::sim_kernel::{KernelSim, KernelSimConfig};
+use lauberhorn_rpc::sim_kernel::KernelSim;
 use lauberhorn_rpc::spec::LoadMode;
-use lauberhorn_rpc::{ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{Machine, MachineConfig, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::SimDuration;
 use lauberhorn_workload::{ArrivalProcess, DynamicMix, SizeDist};
 
@@ -32,7 +32,10 @@ fn open_wl(rate: f64, services: usize, ms: u64, seed: u64) -> WorkloadSpec {
 fn napi_masks_interrupts_under_bursts() {
     // Within a burst the softirq poll loop stays active with the vector
     // masked, so interrupts are far rarer than packets.
-    let mut sim = KernelSim::new(KernelSimConfig::modern(2), ServiceSpec::uniform(1, 500, 32));
+    let mut sim = KernelSim::new(
+        MachineConfig::new(Machine::PcPcie, 2),
+        ServiceSpec::uniform(1, 500, 32),
+    );
     let wl = WorkloadSpec {
         mode: LoadMode::Open {
             arrivals: ArrivalProcess::bursty(2_000_000.0, 5_000.0, 0.0005),
@@ -64,7 +67,10 @@ fn napi_masks_interrupts_under_bursts() {
 fn kernel_interrupts_track_packets_at_low_rate() {
     // At a trickle, every packet interrupts (no moderation, queue
     // re-armed between packets).
-    let mut sim = KernelSim::new(KernelSimConfig::modern(2), ServiceSpec::uniform(1, 500, 32));
+    let mut sim = KernelSim::new(
+        MachineConfig::new(Machine::PcPcie, 2),
+        ServiceSpec::uniform(1, 500, 32),
+    );
     let r = sim.run(&open_wl(1_000.0, 1, 20, 3));
     let stats = sim.nic().stats();
     assert!(r.completed > 10);
@@ -78,7 +84,7 @@ fn kernel_spreads_services_across_cores() {
     // them all on one core. With parallelism, an offered load that
     // exceeds one core's capacity still completes.
     let services = ServiceSpec::uniform(4, 30_000, 32); // 10 µs handlers.
-    let mut sim = KernelSim::new(KernelSimConfig::modern(4), services);
+    let mut sim = KernelSim::new(MachineConfig::new(Machine::PcPcie, 4), services);
     // 4 services × 10 µs handlers at 200k rps = 2.0 cores of handler
     // work alone: impossible on one core.
     let r = sim.run(&open_wl(200_000.0, 4, 10, 9));
@@ -141,29 +147,4 @@ fn bypass_run_to_completion_serializes_one_core() {
         "one core served {} rps?",
         r.throughput_rps()
     );
-}
-
-#[test]
-fn ddio_saves_the_payload_copy_misses() {
-    // Large payloads, DDIO on vs off: with the NIC allocating payloads
-    // into the LLC, the recvmsg copy hits; without it, every line
-    // misses to DRAM and the end-system latency rises measurably.
-    let services = ServiceSpec::uniform(1, 1000, 32);
-    let wl = WorkloadSpec {
-        request_bytes: SizeDist::Fixed { bytes: 8192 },
-        ..WorkloadSpec::echo_closed(64, 5, 21)
-    };
-    let with_ddio = KernelSim::new(KernelSimConfig::modern(2), services.clone()).run(&wl);
-    let mut cfg = KernelSimConfig::modern(2);
-    cfg.ddio = false;
-    let without = KernelSim::new(cfg, services).run(&wl);
-    assert!(
-        with_ddio.end_system.p50 < without.end_system.p50,
-        "ddio {}us !< no-ddio {}us",
-        with_ddio.end_system.p50_us(),
-        without.end_system.p50_us()
-    );
-    // An 8 KiB copy is 128 lines; ~180 cycles each at 3 GHz is ~7.7 µs.
-    let gap_us = without.end_system.p50_us() - with_ddio.end_system.p50_us();
-    assert!((3.0..15.0).contains(&gap_us), "gap {gap_us} us");
 }

@@ -20,11 +20,11 @@
 //! ```
 
 use lauberhorn_rpc::sim_bypass::BypassSimConfig;
-use lauberhorn_rpc::sim_kernel::KernelSimConfig;
 use lauberhorn_rpc::sim_lauberhorn::LauberhornSimConfig;
 use lauberhorn_rpc::spec::LoadMode;
 use lauberhorn_rpc::{
-    driver, BypassSim, KernelSim, LauberhornSim, ServerStack, ServiceSpec, WorkloadSpec,
+    driver, BypassSim, KernelSim, LauberhornSim, Machine, MachineConfig, ServerStack, ServiceSpec,
+    WorkloadSpec,
 };
 use lauberhorn_sim::span::chrome_trace;
 use lauberhorn_sim::{ObserveSpec, SimDuration};
@@ -62,7 +62,7 @@ const GOLDENS: [Golden; 4] = [
         pinned: include_str!("golden/kernel_echo.trace.json"),
         run: || {
             trace(
-                KernelSim::new(KernelSimConfig::modern(2), services(1)),
+                KernelSim::new(MachineConfig::new(Machine::PcPcie, 2), services(1)),
                 echo(50),
             )
         },
@@ -77,7 +77,10 @@ const GOLDENS: [Golden; 4] = [
                 clients: 3,
                 think: SimDuration::ZERO,
             };
-            trace(KernelSim::new(KernelSimConfig::modern(1), services(3)), wl)
+            trace(
+                KernelSim::new(MachineConfig::new(Machine::PcPcie, 1), services(3)),
+                wl,
+            )
         },
     },
 ];

@@ -3,9 +3,10 @@
 //! paper's ordering claims.
 
 use lauberhorn_rpc::sim_bypass::BypassSimConfig;
-use lauberhorn_rpc::sim_kernel::KernelSimConfig;
 use lauberhorn_rpc::sim_lauberhorn::LauberhornSimConfig;
-use lauberhorn_rpc::{BypassSim, KernelSim, LauberhornSim, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{
+    BypassSim, KernelSim, LauberhornSim, Machine, MachineConfig, ServiceSpec, WorkloadSpec,
+};
 use lauberhorn_workload::SizeDist;
 
 fn services_one() -> Vec<ServiceSpec> {
@@ -50,7 +51,7 @@ fn bypass_closed_loop_echo_completes() {
 
 #[test]
 fn kernel_closed_loop_echo_completes() {
-    let mut sim = KernelSim::new(KernelSimConfig::modern(2), services_one());
+    let mut sim = KernelSim::new(MachineConfig::new(Machine::PcPcie, 2), services_one());
     let wl = WorkloadSpec::echo_closed(64, 5, 42);
     let r = sim.run(&wl);
     assert!(r.completed > 200, "only {} completed", r.completed);
@@ -68,7 +69,7 @@ fn figure2_ordering_holds() {
     let wl = WorkloadSpec::echo_closed(64, 5, 7);
     let lb = LauberhornSim::new(LauberhornSimConfig::enzian(2), services_one()).run(&wl);
     let by = BypassSim::new(BypassSimConfig::modern(2), services_one()).run(&wl);
-    let ke = KernelSim::new(KernelSimConfig::modern(2), services_one()).run(&wl);
+    let ke = KernelSim::new(MachineConfig::new(Machine::PcPcie, 2), services_one()).run(&wl);
     assert!(
         lb.rtt.p50 < by.rtt.p50,
         "lauberhorn {}us !< bypass {}us",
@@ -109,7 +110,7 @@ fn open_loop_all_stacks_sustain_moderate_load() {
     let svcs = ServiceSpec::uniform(4, 2000, 32);
     let lb = LauberhornSim::new(LauberhornSimConfig::enzian(4), svcs.clone()).run(&wl);
     let by = BypassSim::new(BypassSimConfig::modern(4), svcs.clone()).run(&wl);
-    let ke = KernelSim::new(KernelSimConfig::modern(4), svcs).run(&wl);
+    let ke = KernelSim::new(MachineConfig::new(Machine::PcPcie, 4), svcs).run(&wl);
     for r in [&lb, &by, &ke] {
         let frac = r.completed as f64 / r.offered as f64;
         assert!(

@@ -1,4 +1,5 @@
-//! A deterministic hasher for the simulator's id-keyed tables.
+//! Deterministic hashes: [`IdHasher`] for the simulator's id-keyed
+//! tables, and [`Fnv1a`] for stream seeds and run digests.
 //!
 //! The device tables the paper's NIC resolves a request with (demux,
 //! endpoints, the scheduler mirror), the coherence directory, the IOMMU
@@ -20,6 +21,10 @@
 //!
 //! Maps spell the hasher out, `HashMap<K, V, IdBuildHasher>`, so the
 //! `unordered-collection` lint still sees every map in `sim` and `rpc`.
+//!
+//! [`Fnv1a`] is the 64-bit FNV-1a hash. It derives each named RNG
+//! stream's seed from its label, and it folds the request stream and
+//! the report into the digests that pin a run.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -44,6 +49,45 @@ pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
 impl IdHasher {
     fn add(&mut self, word: u64) {
         self.hash = self.hash.wrapping_add(word).wrapping_mul(MUL);
+    }
+}
+
+/// The 64-bit FNV-1a hash, folding one byte at a time.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// The empty hash (the FNV offset basis).
+    pub const fn new() -> Self {
+        Fnv1a(Self::OFFSET)
+    }
+
+    /// Folds in `bytes`, in order.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Folds in the eight little-endian bytes of `x`.
+    #[inline]
+    pub fn write_u64(&mut self, x: u64) {
+        self.write(&x.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -119,6 +163,23 @@ mod tests {
         // 4,096 consecutive page numbers (an IOMMU mapping) reach 3,905.
         let pages = buckets(0..4096u64);
         assert!(pages >= 2000, "page keys reach {pages} of 4096 buckets");
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        let fnv = |s: &str| {
+            let mut h = Fnv1a::new();
+            h.write(s.as_bytes());
+            h.finish()
+        };
+        assert_eq!(fnv(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv("foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::new();
+        h.write_u64(u64::from_le_bytes(*b"foobar\0\0"));
+        let mut g = Fnv1a::new();
+        g.write(b"foobar\0\0");
+        assert_eq!(h.finish(), g.finish());
     }
 
     #[test]

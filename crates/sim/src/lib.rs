@@ -36,7 +36,7 @@ pub use fault::{
     CrashSpec, FaultDecision, FaultInjector, FaultPlan, FaultSpec, NicFaultKind, NicFaultSpec,
     TenantFaultSpec,
 };
-pub use hash::{IdBuildHasher, IdHasher};
+pub use hash::{Fnv1a, IdBuildHasher, IdHasher};
 pub use metrics::MetricsRegistry;
 pub use overload::{load_hint, AdmissionCtl, AimdPacer, OverloadConfig, ShedReason};
 pub use queue::EventQueue;

@@ -14,6 +14,8 @@
 //! (the parallel sweep executor relies on runs being a pure function of
 //! `(seed, label)` regardless of which thread executes them).
 
+use crate::hash::Fnv1a;
+
 /// The ChaCha8 block function over a 16-word state.
 #[derive(Clone)]
 struct ChaCha8 {
@@ -144,12 +146,9 @@ pub struct SimRng {
 
 /// Stable 64-bit FNV-1a hash of a label, used to derive per-stream seeds.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 impl SimRng {
