@@ -93,9 +93,12 @@ pub struct Report {
     pub energy_proxy: f64,
     /// Coherence-fabric / PCIe message count (bus traffic).
     pub fabric_messages: u64,
-    /// FNV-1a digest of the generated request stream (ids, services,
-    /// payload bytes). Two runs with equal digests were offered
-    /// byte-identical workloads, regardless of stack.
+    /// Digest of the generated request stream: per request, the id
+    /// and the service as one word each, then the payload bytes, folded
+    /// by FNV-1a's step eight bytes at a time
+    /// ([`lauberhorn_sim::Fnv1a::write_words`]). Two runs with equal
+    /// digests were offered byte-identical workloads, regardless of
+    /// stack.
     pub request_digest: u64,
     /// `(request_id, response payload)` pairs, when the workload set
     /// `record_responses` (application-logic verification).

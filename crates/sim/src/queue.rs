@@ -127,6 +127,9 @@ pub struct EventQueue<E> {
     live: u64,
     /// Cancelled nodes not yet reaped (triggers compaction).
     cancelled_pending: u64,
+    /// Scratch list of the indices a compaction sweep reaps, kept
+    /// between sweeps so a sweep allocates nothing once it has grown.
+    reaped: Vec<u32>,
     popped: u64,
 }
 
@@ -156,6 +159,7 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             live: 0,
             cancelled_pending: 0,
+            reaped: Vec::new(),
             popped: 0,
         }
     }
@@ -306,7 +310,7 @@ impl<E> EventQueue<E> {
     /// nodes outnumber live ones, so the sweep is amortized O(1) per
     /// cancel and arena memory stays O(live).
     fn compact(&mut self) {
-        let mut freed: Vec<u32> = Vec::new();
+        let mut freed = std::mem::take(&mut self.reaped);
         for v in self.wheel.iter_mut() {
             v.retain(|&i| match self.nodes.get(i as usize) {
                 Some(n) if n.payload.is_some() => true,
@@ -347,9 +351,10 @@ impl<E> EventQueue<E> {
                 false
             }
         });
-        for i in freed {
+        for i in freed.drain(..) {
             self.free_node(i);
         }
+        self.reaped = freed;
         self.cancelled_pending = 0;
     }
 
